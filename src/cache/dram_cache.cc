@@ -30,11 +30,40 @@ DramCache::DramCache(MemoryController &dataCtrl, MemoryController &mainMem,
     SMARTREF_ASSERT(numLines_ > 0, "cache smaller than one line");
 }
 
+std::uint32_t
+DramCache::track(Tick arrival, Addr lineInCache, MemCallback cb)
+{
+    std::uint32_t id;
+    if (!freeIds_.empty()) {
+        id = freeIds_.back();
+        freeIds_.pop_back();
+    } else {
+        id = static_cast<std::uint32_t>(inFlight_.size());
+        inFlight_.emplace_back();
+    }
+    inFlight_[id] = InFlight{arrival, lineInCache, std::move(cb)};
+    return id;
+}
+
+void
+DramCache::complete(std::uint32_t id, const MemRequest &req, Tick done)
+{
+    InFlight &f = inFlight_[id];
+    const Tick lat = done - f.arrival;
+    latency_.sample(static_cast<double>(lat));
+    latencySum_ += static_cast<double>(lat);
+    // Release before the call: the callback may issue the next access.
+    MemCallback cb = std::move(f.cb);
+    f.cb = nullptr;
+    freeIds_.push_back(id);
+    if (cb)
+        cb(req, done);
+}
+
 void
 DramCache::access(Addr addr, bool write, MemCallback cb)
 {
     ++accesses_;
-    const Tick arrival = eq_.now();
     const std::uint64_t lineNo = addr / cfg_.lineSize;
     const std::uint64_t index = lineNo % numLines_;
     const std::uint64_t tag = lineNo / numLines_;
@@ -43,14 +72,7 @@ DramCache::access(Addr addr, bool write, MemCallback cb)
 
     tagSram_.recordTraffic(1, 0); // lookup
 
-    auto complete = [this, arrival, cb = std::move(cb)](
-                        const MemRequest &req, Tick done) {
-        const Tick lat = done - arrival;
-        latency_.sample(static_cast<double>(lat));
-        latencySum_ += static_cast<double>(lat);
-        if (cb)
-            cb(req, done);
-    };
+    const std::uint32_t id = track(eq_.now(), lineInCache, std::move(cb));
 
     TagEntry &entry = tags_[index];
     if (entry.valid && entry.tag == tag) {
@@ -61,10 +83,11 @@ DramCache::access(Addr addr, bool write, MemCallback cb)
         }
         // Data lives in the stacked DRAM: hit becomes a 3D access.
         eq_.scheduleAfter(cfg_.tagLatency,
-                          [this, lineInCache, offset, write,
-                           complete]() mutable {
-            dataCtrl_.access(lineInCache + offset, write,
-                             std::move(complete));
+                          [this, addr = lineInCache + offset, write, id] {
+            dataCtrl_.access(addr, write,
+                             [this, id](const MemRequest &req, Tick done) {
+                complete(id, req, done);
+            });
         });
         return;
     }
@@ -84,18 +107,16 @@ DramCache::access(Addr addr, bool write, MemCallback cb)
     entry.dirty = write;
     tagSram_.recordTraffic(0, 1);
 
-    eq_.scheduleAfter(cfg_.tagLatency,
-                      [this, addr, lineInCache, complete]() mutable {
+    eq_.scheduleAfter(cfg_.tagLatency, [this, addr, id] {
         mainMem_.access(addr, false,
-                        [this, lineInCache, complete](
-                            const MemRequest &req, Tick done) mutable {
+                        [this, id](const MemRequest &req, Tick done) {
             // Demand completes when the line arrives from main memory;
             // the fill write into the 3D DRAM is off the critical path.
-            complete(req, done);
+            const Addr line = inFlight_[id].lineInCache;
+            complete(id, req, done);
             ++fills_;
-            eq_.schedule(done, [this, lineInCache]() {
-                dataCtrl_.access(lineInCache, true);
-            });
+            eq_.schedule(done,
+                         [this, line] { dataCtrl_.access(line, true); });
         });
     });
 }

@@ -10,6 +10,11 @@
  * victim. Tags are updated synchronously (no MSHR modelling) — the
  * simplification only merges the occasional overlapping miss and does
  * not affect refresh behaviour.
+ *
+ * What a demand's completion needs (arrival tick, cache slot, caller's
+ * callback) lives in a recycled slab of in-flight records, so the
+ * callbacks handed to the two controllers capture only (cache, record
+ * id) and fit std::function's inline buffer: no per-access allocation.
  */
 
 #pragma once
@@ -80,12 +85,30 @@ class DramCache : public StatGroup
         bool dirty = false;
     };
 
+    /** A demand access in flight. */
+    struct InFlight
+    {
+        Tick arrival = 0;
+        Addr lineInCache = 0; ///< fill target once a miss returns
+        MemCallback cb;
+    };
+
+    /** Claim a recycled in-flight record; returns its id. */
+    std::uint32_t track(Tick arrival, Addr lineInCache, MemCallback cb);
+    /**
+     * The demand's data arrived: sample its latency, release its record,
+     * then run the caller's callback.
+     */
+    void complete(std::uint32_t id, const MemRequest &req, Tick done);
+
     MemoryController &dataCtrl_;
     MemoryController &mainMem_;
     DramCacheConfig cfg_;
     EventQueue &eq_;
     std::uint64_t numLines_;
     std::vector<TagEntry> tags_;
+    std::vector<InFlight> inFlight_;
+    std::vector<std::uint32_t> freeIds_;
     SramEnergyModel tagSram_;
 
     Scalar accesses_;

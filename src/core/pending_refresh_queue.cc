@@ -10,6 +10,7 @@ PendingRefreshQueue::PendingRefreshQueue(std::size_t capacity,
       overflows_(this, "overflows",
                  "requests arriving at a full queue (should be 0)")
 {
+    queue_.reserve(capacity_);
 }
 
 void

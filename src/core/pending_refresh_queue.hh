@@ -9,12 +9,17 @@
  * interval comfortably covers N row-refresh times. This implementation
  * keeps the bound *observable*: depth and overflow statistics are
  * recorded so the claim is checked by tests rather than assumed.
+ *
+ * The entries live in a vector reserved at the capacity: at a handful
+ * of 24-byte entries, erasing from the middle is a short shift, and
+ * unlike a deque the storage is never freed and reallocated as
+ * requests come and go.
  */
 
 #pragma once
 
 #include <cstdint>
-#include <deque>
+#include <vector>
 
 #include "ctrl/mem_request.hh"
 #include "sim/stats.hh"
@@ -54,7 +59,7 @@ class PendingRefreshQueue : public StatGroup
 
   private:
     std::size_t capacity_;
-    std::deque<RefreshRequest> queue_;
+    std::vector<RefreshRequest> queue_;
     std::size_t maxDepth_ = 0;
     Scalar pushed_;
     Scalar overflows_;

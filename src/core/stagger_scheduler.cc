@@ -40,30 +40,11 @@ StaggerScheduler::initialiseStaggered()
 }
 
 void
-StaggerScheduler::step(Tick now, const RefreshFn &refresh)
+StaggerScheduler::finishStep(Tick now, std::uint32_t expired)
 {
-    (void)now; // only read when tracing is compiled in
-    std::uint32_t expired = 0;
-    if (counters_.interleave() == segments_) {
-        // Interleaved layout: the step's counters are adjacent bytes,
-        // touched in segment order (identical emission order to the
-        // strided loop below) with the SRAM traffic billed per step.
-        counters_.walkStep(position_, [&](std::uint32_t s) {
-            ++expired;
-            refresh(std::uint64_t(s) * perSegment_ + position_);
-        });
-    } else {
-        for (std::uint32_t s = 0; s < segments_; ++s) {
-            const std::uint64_t idx =
-                std::uint64_t(s) * perSegment_ + position_;
-            if (RefreshHeatmap *hm = counters_.heatmap())
-                hm->recordCounterTouch(s, counters_.peek(idx));
-            if (counters_.touch(idx)) {
-                ++expired;
-                refresh(idx);
-            }
-        }
-    }
+    // Both only read when tracing is compiled in.
+    (void)now;
+    (void)expired;
     SMARTREF_TRACE(TraceCategory::Counter, now, "counterWalkStep", -1, -1,
                    static_cast<std::int64_t>(position_),
                    static_cast<double>(expired));

@@ -38,7 +38,10 @@ namespace smartref {
 class StaggerScheduler
 {
   public:
-    /** Invoked when a touched counter has expired (refresh due). */
+    /**
+     * A type-erased expiry callback, for callers that store one. step()
+     * itself takes any callable and calls it directly.
+     */
     using RefreshFn = std::function<void(std::uint64_t counterIndex)>;
 
     /**
@@ -72,15 +75,49 @@ class StaggerScheduler
 
     /**
      * Execute one step: touch one counter in each segment, invoking
-     * `refresh` for every expired one (at most `segments` calls).
+     * `refresh(counterIndex)` for every expired one (at most `segments`
+     * calls). A template, so the walk calls the callback directly and
+     * never wraps it in an allocating std::function.
      */
-    void step(const RefreshFn &refresh) { step(0, refresh); }
+    template <typename Fn>
+    void
+    step(Fn &&refresh)
+    {
+        step(0, refresh);
+    }
 
     /**
      * As above, with the current simulated time so the walk step can be
      * traced (category `counter`).
      */
-    void step(Tick now, const RefreshFn &refresh);
+    template <typename Fn>
+    void
+    step(Tick now, Fn &&refresh)
+    {
+        std::uint32_t expired = 0;
+        if (counters_.interleave() == segments_) {
+            // Interleaved layout: the step's counters are adjacent
+            // bytes, touched in segment order (identical emission order
+            // to the strided loop below) with the SRAM traffic billed
+            // per step.
+            counters_.walkStep(position_, [&](std::uint32_t s) {
+                ++expired;
+                refresh(std::uint64_t(s) * perSegment_ + position_);
+            });
+        } else {
+            for (std::uint32_t s = 0; s < segments_; ++s) {
+                const std::uint64_t idx =
+                    std::uint64_t(s) * perSegment_ + position_;
+                if (RefreshHeatmap *hm = counters_.heatmap())
+                    hm->recordCounterTouch(s, counters_.peek(idx));
+                if (counters_.touch(idx)) {
+                    ++expired;
+                    refresh(idx);
+                }
+            }
+        }
+        finishStep(now, expired);
+    }
 
     /** Number of steps executed so far. */
     std::uint64_t stepsExecuted() const { return steps_; }
@@ -89,6 +126,9 @@ class StaggerScheduler
     std::uint64_t position() const { return position_; }
 
   private:
+    /** Trace the step and advance to the next position. */
+    void finishStep(Tick now, std::uint32_t expired);
+
     CounterArray &counters_;
     std::uint32_t segments_;
     std::uint64_t perSegment_;

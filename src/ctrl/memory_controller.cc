@@ -77,7 +77,7 @@ MemoryController::access(Addr addr, bool write, MemCallback cb)
     const std::size_t idx = engineIndex(item.coord.rank, item.coord.bank);
     engines_[idx].predictor.recordDemand(eq_.now());
     noteEngineActivated(engines_[idx]);
-    engines_[idx].queue.push_back(std::move(item));
+    engines_[idx].queue.pushBack(std::move(item));
     kick(idx);
 }
 
@@ -124,7 +124,7 @@ MemoryController::pushRefresh(const RefreshRequest &req)
                                   AuditOutcome::DarpDeferred,
                                   AuditSource::Darp);
             ++heldRefreshes_;
-            engine.heldRefresh.push_back(std::move(item));
+            engine.heldRefresh.pushBack(std::move(item));
             eq_.scheduleAfter(cfg_.darpDeferWindow,
                               [this, idx] { forceHeld(idx); });
             // Quiet bank held back only by the predictor: re-check
@@ -139,7 +139,7 @@ MemoryController::pushRefresh(const RefreshRequest &req)
     }
 
     noteEngineActivated(engine);
-    engine.queue.push_back(std::move(item));
+    engine.queue.pushBack(std::move(item));
     kick(idx);
 }
 
@@ -171,8 +171,7 @@ MemoryController::tryDispatchHeld(std::size_t engineIdx)
 {
     Engine &engine = engines_[engineIdx];
     while (!engine.busy && !engine.heldRefresh.empty()) {
-        Item item = std::move(engine.heldRefresh.front());
-        engine.heldRefresh.pop_front();
+        Item item = engine.heldRefresh.popFront();
         --heldRefreshes_;
         if (maybeCancelHeld(item))
             continue;
@@ -183,7 +182,7 @@ MemoryController::tryDispatchHeld(std::size_t engineIdx)
                                 : AuditOutcome::DarpIdleIssued);
         ++stallsAvoided_;
         noteEngineActivated(engine);
-        engine.queue.push_back(std::move(item));
+        engine.queue.pushBack(std::move(item));
         kick(engineIdx);
     }
 }
@@ -196,8 +195,7 @@ MemoryController::forceHeld(std::size_t engineIdx)
     while (!engine.heldRefresh.empty() &&
            engine.heldRefresh.front().ref.created + cfg_.darpDeferWindow <=
                eq_.now()) {
-        Item item = std::move(engine.heldRefresh.front());
-        engine.heldRefresh.pop_front();
+        Item item = engine.heldRefresh.popFront();
         --heldRefreshes_;
         if (maybeCancelHeld(item))
             continue;
@@ -209,7 +207,7 @@ MemoryController::forceHeld(std::size_t engineIdx)
     noteEngineActivated(engine);
     // Jump ahead of queued demand: these refreshes are out of slack.
     for (auto it = expired.rbegin(); it != expired.rend(); ++it)
-        engine.queue.push_front(std::move(*it));
+        engine.queue.pushFront(std::move(*it));
     kick(engineIdx);
 }
 
@@ -264,19 +262,25 @@ MemoryController::kick(std::size_t engineIdx)
         return;
     engine.busy = true;
     ++engine.activityGen;
-    Item item = std::move(engine.queue.front());
-    engine.queue.pop_front();
-    startItem(engineIdx, std::move(item));
+    engine.current = engine.queue.popFront();
+    startItem(engineIdx);
 }
 
 void
-MemoryController::startItem(std::size_t engineIdx, Item item)
+MemoryController::startItem(std::size_t engineIdx)
 {
     PhaseScope issueScope(profiler_, "issue");
-    if (item.kind == Item::Kind::Demand)
-        runDemand(engineIdx, std::move(item));
-    else
-        runRefresh(engineIdx, std::move(item));
+    const Item &item = engines_[engineIdx].current;
+    if (item.kind == Item::Kind::Demand) {
+        runDemand(engineIdx);
+        return;
+    }
+    // All refreshes carry a resolved (bank, row); the cbr flag only
+    // changes whether an address was posted on the bus (energy).
+    const RefreshRequest &req = item.ref;
+    issue(engineIdx, Step::Refresh,
+          {DramCommandType::RefreshRasOnly, req.rank, req.bank, req.row,
+           0});
 }
 
 void
@@ -325,18 +329,35 @@ MemoryController::armIdlePrecharge(std::size_t engineIdx)
         engineIdx % dram_.config().org.banks);
     if (!dram_.isBankOpen(rank, bank))
         return;
-    const std::uint64_t gen = engine.activityGen;
-    eq_.scheduleAfter(cfg_.idlePrechargeAfter, [this, engineIdx, gen] {
-        tryIdlePrecharge(engineIdx, gen);
-    });
+    engine.idleDeadline = eq_.now() + cfg_.idlePrechargeAfter;
+    engine.idleSeq = eq_.reserveSeq();
+    engine.idleGen = engine.activityGen;
+    if (!engine.idleTimerQueued)
+        queueIdleTimer(engineIdx);
 }
 
 void
-MemoryController::tryIdlePrecharge(std::size_t engineIdx,
-                                   std::uint64_t gen)
+MemoryController::queueIdleTimer(std::size_t engineIdx)
 {
     Engine &engine = engines_[engineIdx];
-    if (engine.busy || !engine.queue.empty() || engine.activityGen != gen)
+    engine.idleTimerQueued = true;
+    engine.queuedSeq = engine.idleSeq;
+    eq_.scheduleReserved(engine.idleDeadline, engine.idleSeq,
+                         [this, engineIdx] { onIdleTimer(engineIdx); });
+}
+
+void
+MemoryController::onIdleTimer(std::size_t engineIdx)
+{
+    Engine &engine = engines_[engineIdx];
+    if (engine.queuedSeq != engine.idleSeq) {
+        // Re-armed since this timer was queued: this arm is stale.
+        queueIdleTimer(engineIdx);
+        return;
+    }
+    engine.idleTimerQueued = false;
+    if (engine.busy || !engine.queue.empty() ||
+        engine.activityGen != engine.idleGen)
         return;
     const std::uint32_t rank = static_cast<std::uint32_t>(
         engineIdx / dram_.config().org.banks);
@@ -348,45 +369,82 @@ MemoryController::tryIdlePrecharge(std::size_t engineIdx,
     noteEngineActivated(engine);
     engine.busy = true;
     ++engine.activityGen;
-    const std::uint32_t row = dram_.openRow(rank, bank);
+    engine.closingRow = dram_.openRow(rank, bank);
     ++idlePrecharges_;
-    DramCommand pre{DramCommandType::Precharge, rank, bank, 0, 0};
-    issueWhenReady(pre,
-                   [this, engineIdx, rank, bank, row](Tick, bool,
-                                                      std::uint32_t) {
-        if (policy_)
-            policy_->onRowClosed(rank, bank, row);
-        finishEngine(engineIdx);
-    });
+    issue(engineIdx, Step::IdlePre,
+          {DramCommandType::Precharge, rank, bank, 0, 0});
 }
 
 void
-MemoryController::issueWhenReady(DramCommand cmd, IssueCallback then)
+MemoryController::issue(std::size_t engineIdx, Step step,
+                        const DramCommand &cmd)
 {
+    Engine &engine = engines_[engineIdx];
+    engine.step = step;
+    engine.cmd = cmd;
+    issuePending(engineIdx);
+}
+
+void
+MemoryController::issuePending(std::size_t engineIdx)
+{
+    const DramCommand cmd = engines_[engineIdx].cmd;
     const Tick earliest = dram_.earliestIssue(cmd);
-    if (earliest <= eq_.now()) {
-        // Observe the bank's row state immediately before the device
-        // accepts the command: refreshes (and precharges) implicitly
-        // close the open page, and the callback may need to know which
-        // row was written back.
-        const bool rowWasOpen = dram_.isBankOpen(cmd.rank, cmd.bank);
-        const std::uint32_t openRow =
-            rowWasOpen ? dram_.openRow(cmd.rank, cmd.bank) : 0;
-        const Tick done = dram_.issue(cmd);
-        then(done, rowWasOpen, openRow);
+    if (earliest > eq_.now()) {
+        // Constraints may move while we wait; re-check then.
+        eq_.schedule(earliest,
+                     [this, engineIdx] { issuePending(engineIdx); });
         return;
     }
-    eq_.schedule(earliest, [this, cmd,
-                            then = std::move(then)]() mutable {
-        // Constraints may have moved while we waited; re-check.
-        issueWhenReady(cmd, std::move(then));
-    });
+    // Observe the bank's row state immediately before the device
+    // accepts the command: refreshes (and precharges) implicitly close
+    // the open page, and the next step may need to know which row was
+    // written back.
+    const bool rowWasOpen = dram_.isBankOpen(cmd.rank, cmd.bank);
+    const std::uint32_t openRow =
+        rowWasOpen ? dram_.openRow(cmd.rank, cmd.bank) : 0;
+    const Tick done = dram_.issue(cmd);
+    onIssued(engineIdx, done, rowWasOpen, openRow);
 }
 
 void
-MemoryController::runDemand(std::size_t engineIdx, Item item)
+MemoryController::onIssued(std::size_t engineIdx, Tick done,
+                           bool rowWasOpen, std::uint32_t openRow)
 {
-    const DramCoord &c = item.coord;
+    Engine &engine = engines_[engineIdx];
+    const DramCoord &c = engine.current.coord;
+    switch (engine.step) {
+      case Step::DemandPre:
+        if (policy_)
+            policy_->onRowClosed(c.rank, c.bank, engine.closingRow);
+        issue(engineIdx, Step::DemandAct,
+              {DramCommandType::Activate, c.rank, c.bank, c.row, 0});
+        return;
+      case Step::DemandAct:
+        if (policy_)
+            policy_->onRowActivated(c.rank, c.bank, c.row);
+        issueColumn(engineIdx);
+        return;
+      case Step::DemandCol:
+        finishDemand(engineIdx, done);
+        return;
+      case Step::Refresh:
+        finishRefresh(engineIdx, rowWasOpen, openRow);
+        return;
+      case Step::IdlePre:
+        if (policy_)
+            policy_->onRowClosed(engine.cmd.rank, engine.cmd.bank,
+                                 engine.closingRow);
+        finishEngine(engineIdx);
+        return;
+    }
+}
+
+void
+MemoryController::runDemand(std::size_t engineIdx)
+{
+    Engine &engine = engines_[engineIdx];
+    const DramCoord &c = engine.current.coord;
 
     // Attribute refresh-induced demand blocking at the tick the demand
     // reaches the bank scheduler: any in-flight refresh state (bank
@@ -403,32 +461,16 @@ MemoryController::runDemand(std::size_t engineIdx, Item item)
             ++rowHits_;
             SMARTREF_TRACE(TraceCategory::RowBuffer, eq_.now(), "rowHit",
                            c.rank, c.bank, c.row);
-            issueColumn(engineIdx, std::move(item));
+            issueColumn(engineIdx);
             return;
         }
         // Row conflict: close the open page, then activate ours.
         ++rowConflicts_;
         SMARTREF_TRACE(TraceCategory::RowBuffer, eq_.now(), "rowConflict",
                        c.rank, c.bank, c.row);
-        const std::uint32_t victim = dram_.openRow(c.rank, c.bank);
-        DramCommand pre{DramCommandType::Precharge, c.rank, c.bank, 0, 0};
-        issueWhenReady(pre, [this, engineIdx, victim,
-                             item = std::move(item)](
-                                Tick, bool, std::uint32_t) mutable {
-            const DramCoord &cc = item.coord;
-            if (policy_)
-                policy_->onRowClosed(cc.rank, cc.bank, victim);
-            DramCommand act{DramCommandType::Activate, cc.rank, cc.bank,
-                            cc.row, 0};
-            issueWhenReady(act,
-                           [this, engineIdx, item = std::move(item)](
-                               Tick, bool, std::uint32_t) mutable {
-                const DramCoord &c3 = item.coord;
-                if (policy_)
-                    policy_->onRowActivated(c3.rank, c3.bank, c3.row);
-                issueColumn(engineIdx, std::move(item));
-            });
-        });
+        engine.closingRow = dram_.openRow(c.rank, c.bank);
+        issue(engineIdx, Step::DemandPre,
+              {DramCommandType::Precharge, c.rank, c.bank, 0, 0});
         return;
     }
 
@@ -436,98 +478,85 @@ MemoryController::runDemand(std::size_t engineIdx, Item item)
     ++rowMisses_;
     SMARTREF_TRACE(TraceCategory::RowBuffer, eq_.now(), "rowMiss", c.rank,
                    c.bank, c.row);
-    DramCommand act{DramCommandType::Activate, c.rank, c.bank, c.row, 0};
-    issueWhenReady(act, [this, engineIdx, item = std::move(item)](
-                            Tick, bool, std::uint32_t) mutable {
-        const DramCoord &cc = item.coord;
-        if (policy_)
-            policy_->onRowActivated(cc.rank, cc.bank, cc.row);
-        issueColumn(engineIdx, std::move(item));
-    });
+    issue(engineIdx, Step::DemandAct,
+          {DramCommandType::Activate, c.rank, c.bank, c.row, 0});
 }
 
 void
-MemoryController::issueColumn(std::size_t engineIdx, Item item)
+MemoryController::issueColumn(std::size_t engineIdx)
 {
+    const Item &item = engines_[engineIdx].current;
     const DramCoord &c = item.coord;
-    DramCommand col{item.req.write ? DramCommandType::Write
-                                   : DramCommandType::Read,
-                    c.rank, c.bank, c.row, c.column};
-    issueWhenReady(col, [this, engineIdx, item = std::move(item)](
-                            Tick done, bool, std::uint32_t) mutable {
-        engines_[engineIdx].lastWasWrite = item.req.write;
-        const Tick lat = done - item.req.arrival;
-        latency_.sample(static_cast<double>(lat));
-        latencySum_ += static_cast<double>(lat);
-        if (item.cb) {
-            // Deliver the completion at the tick the data arrives.
-            eq_.schedule(done, [req = item.req, cb = std::move(item.cb),
-                                done]() { cb(req, done); });
-        }
-        // The engine frees as soon as the column command has issued; the
-        // device enforces all remaining burst/recovery timing.
-        finishEngine(engineIdx);
-    });
+    issue(engineIdx, Step::DemandCol,
+          {item.req.write ? DramCommandType::Write : DramCommandType::Read,
+           c.rank, c.bank, c.row, c.column});
 }
 
 void
-MemoryController::runRefresh(std::size_t engineIdx, Item item)
+MemoryController::finishDemand(std::size_t engineIdx, Tick done)
 {
-    const RefreshRequest req = item.ref;
-    const int darpOutcome = item.darpOutcome;
-    // All refreshes carry a resolved (bank, row); the cbr flag only
-    // changes whether an address was posted on the bus (energy).
-    DramCommand cmd{DramCommandType::RefreshRasOnly, req.rank, req.bank,
-                    req.row, 0};
+    Engine &engine = engines_[engineIdx];
+    Item &item = engine.current;
+    engine.lastWasWrite = item.req.write;
+    const Tick lat = done - item.req.arrival;
+    latency_.sample(static_cast<double>(lat));
+    latencySum_ += static_cast<double>(lat);
+    if (item.cb) {
+        // Deliver the completion at the tick the data arrives.
+        eq_.schedule(done, [req = item.req, cb = std::move(item.cb),
+                            done]() { cb(req, done); });
+    }
+    // The engine frees as soon as the column command has issued; the
+    // device enforces all remaining burst/recovery timing.
+    finishEngine(engineIdx);
+}
 
-    // The refresh implicitly closes an open page (its charge is
-    // restored); issueWhenReady observes the pre-issue row state and
-    // hands it to the callback, so access-aware policies learn which
-    // row was written back without any shared out-of-band state.
-    issueWhenReady(cmd, [this, engineIdx, req, darpOutcome](
-                            Tick, bool rowWasOpen,
-                            std::uint32_t openRow) {
-        PhaseScope drainScope(profiler_, "drain");
-        SMARTREF_ASSERT(refreshBacklog_ > 0, "refresh backlog underflow");
-        --refreshBacklog_;
-        maxRefreshDelay_ = std::max(maxRefreshDelay_,
-                                    eq_.now() - req.created);
-        SMARTREF_TRACE(TraceCategory::Refresh, eq_.now(),
-                       req.cbr ? "refreshIssuedCbr" : "refreshIssuedRas",
-                       req.rank, req.bank, req.row,
-                       static_cast<double>(eq_.now() - req.created));
-        SMARTREF_TRACE_COUNTER(TraceCategory::Queue, eq_.now(),
-                               "refreshBacklog",
-                               static_cast<double>(refreshBacklog_));
-        if (heatmap_)
-            heatmap_->recordRefresh(req.rank, req.bank);
-        // In subarray modes a refresh only closes the page when it
-        // lands in the open row's own subarray; the device applied the
-        // same predicate, so the post-issue bank state is the truth.
-        const bool pageSurvived =
-            rowWasOpen && dram_.isBankOpen(req.rank, req.bank);
-        // The deadline-driven CBR fallback path is what the policy could
-        // not avoid; an addressed refresh is a decision the policy made;
-        // DARP dispatch decisions and subarray-parallel refreshes carry
-        // their own outcomes.
-        AuditOutcome outcome = req.cbr ? AuditOutcome::ForcedDeadline
-                                       : AuditOutcome::Issued;
-        AuditSource source = AuditSource::Controller;
-        if (darpOutcome >= 0) {
-            outcome = static_cast<AuditOutcome>(darpOutcome);
-            source = AuditSource::Darp;
-        } else if (pageSurvived) {
-            outcome = AuditOutcome::SarpParallel;
-        }
-        SMARTREF_AUDIT_RECORD(audit_, eq_.now(), req.rank, req.bank,
-                              req.row, outcome, source);
-        if (policy_) {
-            if (rowWasOpen && !pageSurvived)
-                policy_->onRowClosed(req.rank, req.bank, openRow);
-            policy_->onRefreshIssued(req);
-        }
-        finishEngine(engineIdx);
-    });
+void
+MemoryController::finishRefresh(std::size_t engineIdx, bool rowWasOpen,
+                                std::uint32_t openRow)
+{
+    PhaseScope drainScope(profiler_, "drain");
+    // Copied: finishEngine() below starts the engine's next item.
+    const RefreshRequest req = engines_[engineIdx].current.ref;
+    const int darpOutcome = engines_[engineIdx].current.darpOutcome;
+    SMARTREF_ASSERT(refreshBacklog_ > 0, "refresh backlog underflow");
+    --refreshBacklog_;
+    maxRefreshDelay_ = std::max(maxRefreshDelay_, eq_.now() - req.created);
+    SMARTREF_TRACE(TraceCategory::Refresh, eq_.now(),
+                   req.cbr ? "refreshIssuedCbr" : "refreshIssuedRas",
+                   req.rank, req.bank, req.row,
+                   static_cast<double>(eq_.now() - req.created));
+    SMARTREF_TRACE_COUNTER(TraceCategory::Queue, eq_.now(),
+                           "refreshBacklog",
+                           static_cast<double>(refreshBacklog_));
+    if (heatmap_)
+        heatmap_->recordRefresh(req.rank, req.bank);
+    // In subarray modes a refresh only closes the page when it lands in
+    // the open row's own subarray; the device applied the same
+    // predicate, so the post-issue bank state is the truth.
+    const bool pageSurvived =
+        rowWasOpen && dram_.isBankOpen(req.rank, req.bank);
+    // The deadline-driven CBR fallback path is what the policy could
+    // not avoid; an addressed refresh is a decision the policy made;
+    // DARP dispatch decisions and subarray-parallel refreshes carry
+    // their own outcomes.
+    AuditOutcome outcome =
+        req.cbr ? AuditOutcome::ForcedDeadline : AuditOutcome::Issued;
+    AuditSource source = AuditSource::Controller;
+    if (darpOutcome >= 0) {
+        outcome = static_cast<AuditOutcome>(darpOutcome);
+        source = AuditSource::Darp;
+    } else if (pageSurvived) {
+        outcome = AuditOutcome::SarpParallel;
+    }
+    SMARTREF_AUDIT_RECORD(audit_, eq_.now(), req.rank, req.bank, req.row,
+                          outcome, source);
+    if (policy_) {
+        if (rowWasOpen && !pageSurvived)
+            policy_->onRowClosed(req.rank, req.bank, openRow);
+        policy_->onRefreshIssued(req);
+    }
+    finishEngine(engineIdx);
 }
 
 } // namespace smartref

@@ -10,12 +10,17 @@
  * occupy the engine for one refresh command. Engines run concurrently;
  * the device model enforces all shared-resource timing (data bus, tRRD),
  * so engines simply retry until their command becomes legal.
+ *
+ * The hot path allocates nothing: an engine holds its in-flight item,
+ * the command it is waiting to issue and the step that command
+ * continues into, so a retry event captures only (controller, engine);
+ * its FIFOs are rings that keep their storage; and each engine keeps at
+ * most one idle-precharge timer queued (see docs/perf.md).
  */
 
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <vector>
 
 #include "ctrl/address_mapper.hh"
@@ -24,6 +29,7 @@
 #include "ctrl/refresh_policy.hh"
 #include "dram/dram_module.hh"
 #include "sim/event_queue.hh"
+#include "sim/ring_queue.hh"
 #include "sim/stats.hh"
 
 namespace smartref {
@@ -176,19 +182,54 @@ class MemoryController : public StatGroup
         int darpOutcome = -1;
     };
 
+    /** What an engine's pending command continues into once issued. */
+    enum class Step : std::uint8_t {
+        DemandPre, ///< conflict precharge; then activate
+        DemandAct, ///< activate; then the column burst
+        DemandCol, ///< column burst; then the demand completes
+        Refresh,   ///< the refresh command itself
+        IdlePre,   ///< idle-timer precharge
+    };
+
     /** FIFO engine for one (rank, bank). */
     struct Engine
     {
-        std::deque<Item> queue;
+        RingQueue<Item> queue;
         bool busy = false;
         /** Bumped on any activity; stale idle-precharge checks no-op. */
         std::uint64_t activityGen = 0;
         /** DARP: refreshes held back until the bank goes demand-idle. */
-        std::deque<Item> heldRefresh;
+        RingQueue<Item> heldRefresh;
         /** DARP: was the last column burst from this bank a write? */
         bool lastWasWrite = false;
         /** DARP: per-bank demand inter-arrival predictor. */
         DarpIdlePredictor predictor;
+
+        /** @name In-flight work (valid while busy). */
+        ///@{
+        Item current;
+        /** The command waiting to issue; `step` says what follows it. */
+        DramCommand cmd;
+        Step step = Step::DemandCol;
+        /** Row the pending precharge closes (DemandPre, IdlePre). */
+        std::uint32_t closingRow = 0;
+        ///@}
+
+        /**
+         * @name Idle-precharge timer.
+         * Each drain that leaves the page open arms a deadline under a
+         * reserved event sequence number. At most one timer event is
+         * queued; finding a newer arm, it re-queues at that arm's
+         * (deadline, seq), so event order is as if every drain had
+         * queued its own timer (docs/perf.md).
+         */
+        ///@{
+        Tick idleDeadline = 0;
+        std::uint64_t idleSeq = 0;   ///< newest arm's reserved seq
+        std::uint64_t idleGen = 0;   ///< activityGen at the newest arm
+        std::uint64_t queuedSeq = 0; ///< seq the queued timer runs at
+        bool idleTimerQueued = false;
+        ///@}
     };
 
     std::size_t
@@ -209,31 +250,39 @@ class MemoryController : public StatGroup
      * @return true when it was cancelled (caller drops the item)
      */
     bool maybeCancelHeld(const Item &item);
-    void startItem(std::size_t engineIdx, Item item);
-    void runDemand(std::size_t engineIdx, Item item);
-    void issueColumn(std::size_t engineIdx, Item item);
-    void runRefresh(std::size_t engineIdx, Item item);
+    /** Start the engine's `current` item. */
+    void startItem(std::size_t engineIdx);
+    void runDemand(std::size_t engineIdx);
+    void issueColumn(std::size_t engineIdx);
+    void finishDemand(std::size_t engineIdx, Tick done);
+    void finishRefresh(std::size_t engineIdx, bool rowWasOpen,
+                       std::uint32_t openRow);
     void finishEngine(std::size_t engineIdx);
     void armIdlePrecharge(std::size_t engineIdx);
-    void tryIdlePrecharge(std::size_t engineIdx, std::uint64_t gen);
+    /** Queue the engine's one idle timer at its newest arm. */
+    void queueIdleTimer(std::size_t engineIdx);
+    /** Close the idle page, unless the engine saw activity since. */
+    void onIdleTimer(std::size_t engineIdx);
     /** Bump activeEngines_ if `engine` is about to gain its first work. */
     void noteEngineActivated(const Engine &engine);
 
+    /** Make `cmd` the engine's pending command and try to issue it. */
+    void issue(std::size_t engineIdx, Step step, const DramCommand &cmd);
     /**
-     * Invoked once `cmd` has issued: completion tick plus the bank's
-     * open-row state observed immediately *before* the device accepted
-     * the command (refreshes implicitly close an open page, and
-     * access-aware policies must learn which row was written back).
+     * Issue the engine's pending command as soon as it becomes legal,
+     * then continue with onIssued(). Retries via the event queue if
+     * constraints move while waiting.
      */
-    using IssueCallback =
-        std::function<void(Tick done, bool rowWasOpen,
-                           std::uint32_t openRow)>;
-
+    void issuePending(std::size_t engineIdx);
     /**
-     * Issue `cmd` as soon as it becomes legal, then invoke `then`.
-     * Retries via the event queue if constraints move while waiting.
+     * Advance the engine past its pending command, given the completion
+     * tick plus the bank's open-row state observed immediately *before*
+     * the device accepted the command (refreshes implicitly close an
+     * open page, and access-aware policies must learn which row was
+     * written back).
      */
-    void issueWhenReady(DramCommand cmd, IssueCallback then);
+    void onIssued(std::size_t engineIdx, Tick done, bool rowWasOpen,
+                  std::uint32_t openRow);
 
     DramModule &dram_;
     EventQueue &eq_;

@@ -7,6 +7,17 @@
 
 namespace smartref {
 
+bool
+helpRequested(int argc, char **argv)
+{
+    for (int i = 1; i < argc; ++i) {
+        const std::string arg = argv[i];
+        if (arg == "--help" || arg == "-h")
+            return true;
+    }
+    return false;
+}
+
 CliArgs::CliArgs(int argc, char **argv)
 {
     for (int i = 1; i < argc; ++i) {

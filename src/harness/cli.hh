@@ -14,6 +14,12 @@
 
 namespace smartref {
 
+/**
+ * True when argv holds --help or -h. Tools check this before building
+ * CliArgs (which rejects the single-dash -h) and print their usage.
+ */
+bool helpRequested(int argc, char **argv);
+
 /** Parsed "--key value" / "--flag" arguments. */
 class CliArgs
 {

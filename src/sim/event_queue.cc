@@ -31,13 +31,15 @@ EventQueue::insert(Node n)
 }
 
 void
-EventQueue::scheduleSlot(Tick when, std::uint32_t slot,
+EventQueue::scheduleSlot(Tick when, std::uint64_t seq, std::uint32_t slot,
                          EventPriority prio)
 {
     SMARTREF_ASSERT(when >= now_, "scheduling into the past: ", when,
                     " < now ", now_);
+    SMARTREF_ASSERT(seq < seq_, "sequence number ", seq,
+                    " was never reserved");
     ++pendingCount_;
-    insert(Node{when, seq_++, static_cast<std::int32_t>(prio), slot});
+    insert(Node{when, seq, static_cast<std::int32_t>(prio), slot});
 }
 
 void

@@ -30,6 +30,11 @@
  *    up-front, so the interleaving with other same-tick events is
  *    exactly as if every occurrence had been scheduled individually at
  *    burst-creation time (see docs/perf.md).
+ *  - reserveSeq() / scheduleReserved() apply the same trick to a
+ *    single event: a component reserves the sequence number when it
+ *    arms a timer and queues the event under it later, so a timer that
+ *    is re-armed many times before it fires needs one queued event
+ *    instead of one per arm.
  */
 
 #pragma once
@@ -91,7 +96,7 @@ class EventQueue
     schedule(Tick when, F &&f,
              EventPriority prio = EventPriority::Default)
     {
-        scheduleSlot(when, allocSlotFor(std::forward<F>(f)), prio);
+        scheduleSlot(when, seq_++, allocSlotFor(std::forward<F>(f)), prio);
     }
 
     /** Schedule a callback `delta` ticks from now. */
@@ -121,6 +126,25 @@ class EventQueue
     {
         burstSlot(first, interval, count,
                   allocSlotFor(std::forward<F>(f)), prio);
+    }
+
+    /** Take the next sequence number without scheduling anything. */
+    std::uint64_t reserveSeq() { return seq_++; }
+
+    /**
+     * Schedule `f` at `when` under a sequence number from reserveSeq().
+     * `when` must not precede the instant the number was reserved.
+     *
+     * Determinism contract: the event runs exactly where an event
+     * scheduled at reservation time would have run among same-tick,
+     * same-priority events (see docs/perf.md).
+     */
+    template <typename F>
+    void
+    scheduleReserved(Tick when, std::uint64_t seq, F &&f,
+                     EventPriority prio = EventPriority::Default)
+    {
+        scheduleSlot(when, seq, allocSlotFor(std::forward<F>(f)), prio);
     }
 
     /** Execute events until the queue is empty. */
@@ -197,7 +221,8 @@ class EventQueue
         return idx;
     }
 
-    void scheduleSlot(Tick when, std::uint32_t slot, EventPriority prio);
+    void scheduleSlot(Tick when, std::uint64_t seq, std::uint32_t slot,
+                      EventPriority prio);
     void burstSlot(Tick first, Tick interval, std::uint64_t count,
                    std::uint32_t slot, EventPriority prio);
     void insert(Node n);

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <functional>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -227,6 +228,96 @@ TEST(EventQueue, BurstFiresAtEveryInterval)
     EXPECT_EQ(fires, (std::vector<Tick>{10, 15, 20, 25}));
     EXPECT_EQ(eq.executed(), 4u);
     EXPECT_EQ(eq.pending(), 0u);
+}
+
+TEST(EventQueue, ReservedSeqRunsBeforeLaterSameTickEvents)
+{
+    // The reservation predates two same-tick events, so the reserved
+    // event must run first even though it is queued last. The first
+    // schedule sits in the one-entry fast-path buffer; the reserved node
+    // has to displace it.
+    EventQueue eq;
+    std::vector<int> order;
+    const std::uint64_t seq = eq.reserveSeq();
+    eq.schedule(10, [&] { order.push_back(2); });
+    eq.schedule(10, [&] { order.push_back(3); });
+    EXPECT_EQ(eq.pending(), 2u);
+    eq.scheduleReserved(10, seq, [&] { order.push_back(1); });
+    EXPECT_EQ(eq.pending(), 3u);
+    eq.run();
+    EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
+    EXPECT_EQ(eq.executed(), 3u);
+    EXPECT_EQ(eq.pending(), 0u);
+}
+
+TEST(EventQueue, ReservedSeqOrdersInsideHeapBehindBufferedMinimum)
+{
+    // An earlier event holds the fast-path buffer, so the reserved node
+    // goes into the heap and must still precede the same-tick events
+    // scheduled after its reservation, and follow the one before it.
+    EventQueue eq;
+    std::vector<int> order;
+    eq.schedule(5, [&] { order.push_back(0); });
+    eq.schedule(10, [&] { order.push_back(1); });
+    const std::uint64_t seq = eq.reserveSeq();
+    eq.schedule(10, [&] { order.push_back(3); });
+    eq.schedule(10, [&] { order.push_back(4); });
+    eq.scheduleReserved(10, seq, [&] { order.push_back(2); });
+    eq.run();
+    EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4}));
+    EXPECT_EQ(eq.executed(), 5u);
+}
+
+TEST(EventQueue, RequeuedTimerKeepsNewestArmPlace)
+{
+    // The controller's idle-timer pattern: one queued timer, re-armed
+    // twice before it fires. When it fires it moves to the newest arm's
+    // reserved (deadline, seq), landing exactly where a timer scheduled
+    // at that arm would have run: after the event scheduled before the
+    // arm, before the one scheduled after it.
+    EventQueue eq;
+    std::vector<int> order;
+    struct Arm
+    {
+        Tick deadline;
+        std::uint64_t seq;
+    };
+    Arm newest{20, eq.reserveSeq()};
+    const std::uint64_t queuedSeq = newest.seq;
+    eq.schedule(40, [&] { order.push_back(1); });
+    newest = Arm{30, eq.reserveSeq()};
+    newest = Arm{40, eq.reserveSeq()};
+    eq.schedule(40, [&] { order.push_back(3); });
+    std::uint64_t firings = 0;
+    std::function<void(std::uint64_t)> timer = [&](std::uint64_t mySeq) {
+        ++firings;
+        if (mySeq != newest.seq) {
+            eq.scheduleReserved(newest.deadline, newest.seq,
+                                [&, s = newest.seq] { timer(s); });
+            return;
+        }
+        order.push_back(2);
+    };
+    eq.scheduleReserved(20, queuedSeq, [&] { timer(queuedSeq); });
+    EXPECT_EQ(eq.pending(), 3u);
+    eq.run();
+    EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
+    // Two firings instead of three per-arm events: the 30-tick arm
+    // never entered the queue.
+    EXPECT_EQ(firings, 2u);
+    EXPECT_EQ(eq.executed(), 4u);
+    EXPECT_EQ(eq.pending(), 0u);
+}
+
+TEST(EventQueue, UnusedReservationChangesNoCounts)
+{
+    EventQueue eq;
+    (void)eq.reserveSeq();
+    EXPECT_EQ(eq.pending(), 0u);
+    EXPECT_TRUE(eq.empty());
+    eq.schedule(3, [] {});
+    eq.run();
+    EXPECT_EQ(eq.executed(), 1u);
 }
 
 TEST(EventQueue, SingleOccurrenceBurstAllowsZeroInterval)

@@ -30,6 +30,7 @@ class RecordingPolicy : public RefreshPolicy
                 std::uint32_t row) override
     {
         closed.push_back({rank, bank, row});
+        closedAt.push_back(clock ? clock->now() : 0);
     }
 
     void
@@ -46,7 +47,9 @@ class RecordingPolicy : public RefreshPolicy
     };
     std::vector<Coord> activated;
     std::vector<Coord> closed;
+    std::vector<Tick> closedAt; ///< tick of each close (needs `clock`)
     std::vector<RefreshRequest> issued;
+    const EventQueue *clock = nullptr;
 };
 
 } // namespace
@@ -60,6 +63,7 @@ class ControllerTest : public ::testing::Test
           ctrl(dram, eq, ControllerConfig{}, &root),
           policy(&root)
     {
+        policy.clock = &eq;
         ctrl.setRefreshPolicy(&policy);
     }
 
@@ -133,6 +137,79 @@ TEST_F(ControllerTest, IdlePrechargeClosesPageAndNotifies)
     ASSERT_EQ(policy.closed.size(), 1u);
     EXPECT_EQ(policy.closed[0].row, 0u);
     EXPECT_TRUE(ctrl.idle());
+}
+
+TEST_F(ControllerTest, RowHitTrainGetsOneIdlePrechargeAfterLastDrain)
+{
+    // 45 ns-spaced hits on one open row re-arm the idle timer at every
+    // drain; the page closes once, exactly idlePrechargeAfter after the
+    // last column command issued.
+    const auto &t = dram.config().timing;
+    const Tick idleAfter = ControllerConfig{}.idlePrechargeAfter;
+    const int n = 12;
+    Tick lastDone = 0;
+    for (int i = 0; i < n; ++i) {
+        eq.schedule(Tick(i) * 45 * kNanosecond, [this, &lastDone] {
+            ctrl.access(addrOf(0), false,
+                        [&lastDone](const MemRequest &, Tick done) {
+                lastDone = done;
+            });
+        });
+    }
+    eq.runUntil(10 * kMicrosecond);
+    EXPECT_EQ(ctrl.rowMisses(), 1u);
+    EXPECT_EQ(ctrl.rowHits(), std::uint64_t(n - 1));
+    ASSERT_EQ(policy.closed.size(), 1u);
+    const Tick lastDrain = lastDone - (t.tCL + t.tBurst);
+    EXPECT_EQ(policy.closedAt[0], lastDrain + idleAfter);
+    EXPECT_FALSE(dram.isBankOpen(0, 0));
+    EXPECT_TRUE(ctrl.idle());
+}
+
+TEST_F(ControllerTest, DemandOnSupersededDeadlineTickHitsOpenRow)
+{
+    // The first drain arms a deadline that the second access supersedes.
+    // A third access arriving exactly on that stale deadline tick finds
+    // the page open, whether its arrival event runs before the stale
+    // timer at that tick (scheduled up front) or after it (scheduled
+    // once both arms exist); the page then closes once, after the third
+    // access drains.
+    const auto &t = dram.config().timing;
+    const Tick idleAfter = ControllerConfig{}.idlePrechargeAfter;
+    const Tick firstDrain = t.tRCD; // row miss at tick 0
+    for (bool arrivalFirst : {true, false}) {
+        EventQueue q;
+        StatGroup r("r");
+        DramModule d(tcfg::tinyConfig(), q, &r);
+        MemoryController c(d, q, ControllerConfig{}, &r);
+        RecordingPolicy p(&r);
+        p.clock = &q;
+        c.setRefreshPolicy(&p);
+        Tick lastDone = 0;
+        auto access = [&] {
+            c.access(addrOf(0), false,
+                     [&lastDone](const MemRequest &, Tick done) {
+                lastDone = done;
+            });
+        };
+        q.schedule(0, access);
+        q.schedule(45 * kNanosecond, access);
+        if (arrivalFirst) {
+            q.schedule(firstDrain + idleAfter, access);
+        } else {
+            q.schedule(100 * kNanosecond, [&] {
+                q.schedule(firstDrain + idleAfter, access);
+            });
+        }
+        q.runUntil(10 * kMicrosecond);
+        EXPECT_EQ(c.rowMisses(), 1u) << arrivalFirst;
+        EXPECT_EQ(c.rowHits(), 2u) << arrivalFirst;
+        EXPECT_EQ(c.rowConflicts(), 0u) << arrivalFirst;
+        EXPECT_EQ(lastDone, firstDrain + idleAfter + t.tCL + t.tBurst)
+            << arrivalFirst;
+        ASSERT_EQ(p.closed.size(), 1u) << arrivalFirst;
+        EXPECT_EQ(p.closedAt[0], firstDrain + 2 * idleAfter) << arrivalFirst;
+    }
 }
 
 TEST_F(ControllerTest, IdlePrechargeCanBeDisabled)

@@ -7,45 +7,7 @@
  * workload can be a named benchmark profile, the idle/light special
  * profiles, or a recorded trace file (DRAMsim-style trace-driven mode).
  *
- * Usage:
- *   smartref_sim [--config 2gb|4gb|128gb|256gb|512gb|3d64|3d64-32ms|
- *                          3d32|edram]
- *                [--policy cbr|burst|ras-only|per-bank|smart|
- *                          retention-aware]
- *                [--parallelism none|refpb|darp|sarp|all]
- *                                      refresh-access parallelism mode
- *                [--classes]           RAPID-style retention classes
- *                [--sparse-counters]   lazily-chunked counter array
- *                [-j N]                shard workers for multi-channel
- *                                      configs (aggregates are
- *                                      byte-identical for any N)
- *                [--benchmark NAME | --idle | --light | --trace FILE]
- *                [--threed]            use the 3D cache system assembly
- *                [--warmup-ms N] [--measure-ms N]
- *                [--bits B] [--segments N] [--no-auto] [--seed S]
- *                [--scheme row-rank-bank|row-bank-rank|rank-bank-row]
- *                [--stats-out FILE]    dump the full statistics tree
- *                [--stats-json FILE]   machine-readable statistics dump
- *                [--stats-interval-ms N]  per-interval time series
- *                [--stats-interval-out FILE]
- *                [--interval-cols LIST]  extra interval columns by dotted
- *                                      stat path (validated up front)
- *                [--heatmap-out FILE]  spatial refresh heatmap JSON
- *                                      (+ .csv sibling)
- *                [--audit-out FILE]    binary refresh decision audit trail
- *                [--audit-json FILE]   NDJSON audit trail
- *                [--ledger-out FILE]   energy attribution ledger JSON
- *                [--ledger-csv FILE]   per-interval ledger grid CSV
- *                [--ledger-check FILE] conservation-check JSON (for
- *                                      smartref_statdiff --subset)
- *                [--check-conservation]  verify the ledger invariant
- *                [--profile-out FILE]  phase-profile JSON (host wall time)
- *                [--trace-out FILE]    Chrome trace_event JSON timeline
- *                [--trace-csv FILE]    compact CSV timeline
- *                [--trace-categories LIST]  e.g. refresh,counter (def all)
- *                [--log-level silent|warn|info|debug]
- *                [--list]              list benchmark profiles and exit
- *                [--version]           print the provenance build block
+ * Usage: see kUsage below (printed by --help / -h).
  */
 
 #include <bit>
@@ -74,6 +36,48 @@
 using namespace smartref;
 
 namespace {
+
+constexpr const char *kUsage = R"(usage:
+  smartref_sim [--config 2gb|4gb|128gb|256gb|512gb|3d64|3d64-32ms|
+                         3d32|edram]
+               [--policy cbr|burst|ras-only|per-bank|smart|
+                         retention-aware]
+               [--parallelism none|refpb|darp|sarp|all]
+                                     refresh-access parallelism mode
+               [--classes]           RAPID-style retention classes
+               [--sparse-counters]   lazily-chunked counter array
+               [-j N]                shard workers for multi-channel
+                                     configs (aggregates are
+                                     byte-identical for any N)
+               [--benchmark NAME | --idle | --light | --trace FILE]
+               [--threed]            use the 3D cache system assembly
+               [--warmup-ms N] [--measure-ms N]
+               [--bits B] [--segments N] [--no-auto] [--seed S]
+               [--scheme row-rank-bank|row-bank-rank|rank-bank-row]
+               [--stats-out FILE]    dump the full statistics tree
+               [--stats-json FILE]   machine-readable statistics dump
+               [--stats-interval-ms N]  per-interval time series
+               [--stats-interval-out FILE]
+               [--interval-cols LIST]  extra interval columns by dotted
+                                     stat path (validated up front)
+               [--heatmap-out FILE]  spatial refresh heatmap JSON
+                                     (+ .csv sibling)
+               [--audit-out FILE]    binary refresh decision audit trail
+               [--audit-json FILE]   NDJSON audit trail
+               [--ledger-out FILE]   energy attribution ledger JSON
+               [--ledger-csv FILE]   per-interval ledger grid CSV
+               [--ledger-check FILE] conservation-check JSON (for
+                                     smartref_statdiff --subset)
+               [--check-conservation]  verify the ledger invariant
+               [--profile-out FILE]  phase-profile JSON (host wall time)
+               [--trace-out FILE]    Chrome trace_event JSON timeline
+               [--trace-csv FILE]    compact CSV timeline
+               [--trace-categories LIST]  e.g. refresh,counter (def all)
+               [--log-level silent|warn|info|debug]
+               [--list]              list benchmark profiles and exit
+               [--version]           print the provenance build block
+               [--help | -h]         print this usage and exit
+)";
 
 AddressScheme
 schemeByName(const std::string &name)
@@ -371,6 +375,10 @@ finishObservability(const CliArgs &args, const StatGroup &root,
 int
 main(int argc, char **argv)
 {
+    if (helpRequested(argc, argv)) {
+        std::cout << kUsage;
+        return 0;
+    }
     CliArgs args(argc, argv);
     if (args.has("version")) {
         std::cout << versionText("smartref_sim");

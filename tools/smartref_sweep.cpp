@@ -8,57 +8,7 @@
  * in grid order. The aggregate JSON/CSV outputs are byte-identical for
  * any -j N (see docs/sweep.md for the determinism contract).
  *
- * Usage:
- *   smartref_sweep [--grid NAME | --grid-file FILE] [-j N]
- *                  [--shard-jobs N]      worker threads inside each
- *                                        multi-channel job (sharded
- *                                        engine; execution-only)
- *                  [--sparse-counters]   hierarchical sparse counter
- *                                        array in every job
- *                  [--out-dir DIR]       output directory (default ".")
- *                  [--json FILE]         aggregate JSON path override
- *                  [--csv FILE]          per-job CSV path override
- *                  [--figures]           print paper-figure tables and
- *                                        write one CSV per figure
- *                  [--timing FILE]       wall-clock timing JSON (not
- *                                        deterministic; CI artifact)
- *                  [--heatmap-out FILE]  merged spatial refresh heatmap
- *                                        JSON (+ .csv sibling); still
- *                                        byte-identical for any -j N
- *                  [--telemetry-out FILE] live NDJSON execution
- *                                        telemetry (not deterministic)
- *                  [--check-conservation] verify the energy-ledger
- *                                        invariant inside every job
- *                  [--profile]           collect per-job phase profiles
- *                                        (telemetry NDJSON only)
- *                  [--parallelism A,B,..] override the grid's refresh
- *                                        parallelism axis (none, refpb,
- *                                        darp, sarp, all)
- *                  [--cache-dir DIR]     content-addressed result cache:
- *                                        only cache misses are simulated,
- *                                        aggregates stay byte-identical
- *                  [--incremental]       shorthand: cache at the default
- *                                        directory (SMARTREF_CACHE_DIR /
- *                                        XDG_CACHE_HOME/smartref /
- *                                        ~/.cache/smartref)
- *                  [--cache-verify]      recompute every hit and fail
- *                                        unless the stored result is
- *                                        bit-identical
- *                  [--cache-max-mb N]    LRU-prune the cache to N MB
- *                                        after the sweep
- *                  [--metrics-out FILE]  service-layer metrics snapshot
- *                                        JSON (not deterministic)
- *                  [--no-metrics]        disable metrics updates (the
- *                                        overhead-measurement baseline)
- *                  [--seed S] [--seed-mode derived|fixed]
- *                  [--warmup-ms N] [--measure-ms N] [--segments N]
- *                  [--no-auto] [--progress]
- *                  [--log-level silent|warn|info|debug]
- *                  [--list-grids]        list predefined grids and exit
- *                  [--version]           print the provenance build block
- *
- * Predefined grids (--grid): smoke, 2gb, 4gb, 3d64, 3d64-32ms, 3d32,
- * figures, bits, policies, policy-grid, server.
+ * Usage: see kUsage below (printed by --help / -h).
  */
 
 #include <chrono>
@@ -81,6 +31,60 @@
 using namespace smartref;
 
 namespace {
+
+constexpr const char *kUsage = R"(usage:
+  smartref_sweep [--grid NAME | --grid-file FILE] [-j N]
+                 [--shard-jobs N]      worker threads inside each
+                                       multi-channel job (sharded
+                                       engine; execution-only)
+                 [--sparse-counters]   hierarchical sparse counter
+                                       array in every job
+                 [--out-dir DIR]       output directory (default ".")
+                 [--json FILE]         aggregate JSON path override
+                 [--csv FILE]          per-job CSV path override
+                 [--figures]           print paper-figure tables and
+                                       write one CSV per figure
+                 [--timing FILE]       wall-clock timing JSON (not
+                                       deterministic; CI artifact)
+                 [--heatmap-out FILE]  merged spatial refresh heatmap
+                                       JSON (+ .csv sibling); still
+                                       byte-identical for any -j N
+                 [--telemetry-out FILE] live NDJSON execution
+                                       telemetry (not deterministic)
+                 [--check-conservation] verify the energy-ledger
+                                       invariant inside every job
+                 [--profile]           collect per-job phase profiles
+                                       (telemetry NDJSON only)
+                 [--parallelism A,B,..] override the grid's refresh
+                                       parallelism axis (none, refpb,
+                                       darp, sarp, all)
+                 [--cache-dir DIR]     content-addressed result cache:
+                                       only cache misses are simulated,
+                                       aggregates stay byte-identical
+                 [--incremental]       shorthand: cache at the default
+                                       directory (SMARTREF_CACHE_DIR /
+                                       XDG_CACHE_HOME/smartref /
+                                       ~/.cache/smartref)
+                 [--cache-verify]      recompute every hit and fail
+                                       unless the stored result is
+                                       bit-identical
+                 [--cache-max-mb N]    LRU-prune the cache to N MB
+                                       after the sweep
+                 [--metrics-out FILE]  service-layer metrics snapshot
+                                       JSON (not deterministic)
+                 [--no-metrics]        disable metrics updates (the
+                                       overhead-measurement baseline)
+                 [--seed S] [--seed-mode derived|fixed]
+                 [--warmup-ms N] [--measure-ms N] [--segments N]
+                 [--no-auto] [--progress]
+                 [--log-level silent|warn|info|debug]
+                 [--list-grids]        list predefined grids and exit
+                 [--version]           print the provenance build block
+                 [--help | -h]         print this usage and exit
+
+Predefined grids (--grid): smoke, 2gb, 4gb, 3d64, 3d64-32ms, 3d32,
+figures, bits, policies, policy-grid, server.
+)";
 
 void
 listGrids()
@@ -179,6 +183,10 @@ writeTiming(const std::string &path, const SweepGrid &grid,
 int
 main(int argc, char **argv)
 {
+    if (helpRequested(argc, argv)) {
+        std::cout << kUsage;
+        return 0;
+    }
     CliArgs args(argc, argv);
     if (args.has("version")) {
         std::cout << versionText("smartref_sweep");
