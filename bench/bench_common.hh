@@ -1,8 +1,7 @@
 /**
  * @file
- * Shared plumbing for the per-figure bench binaries: standard flags,
- * suite runners with progress output, and the metric extractors the
- * paper's figures report.
+ * Shared plumbing for the bench binaries: standard flags, report
+ * formatting and the provenance block of their BENCH_*.json files.
  */
 
 #pragma once
@@ -27,81 +26,5 @@ benchMetaJson(const std::string &benchName)
     meta.schema = "smartref-bench-" + benchName + "-v1";
     return metaJson(meta);
 }
-
-namespace detail {
-
-inline void
-announceSuite(const std::string &dramName, const ExperimentOptions &opts,
-              unsigned jobs)
-{
-    std::cerr << "running " << allProfiles().size() << " benchmarks on "
-              << dramName << " (warmup " << opts.warmup / kMillisecond
-              << " ms, measure " << opts.measure / kMillisecond
-              << " ms, " << jobs << " worker thread(s))..." << std::endl;
-}
-
-/** Completion-order progress line (results stay in profile order). */
-inline SuiteProgress
-progressLine()
-{
-    return [](const ComparisonResult &r) {
-        std::cerr << "  " << r.benchmark << " ["
-                  << fmtPercent(r.refreshReduction()) << "]" << std::endl;
-    };
-}
-
-} // namespace detail
-
-/**
- * Run the benchmark suite on a conventional module, fanned out over
- * "-j N" worker threads (serial without the flag; results are
- * identical either way — see docs/sweep.md).
- */
-inline std::vector<ComparisonResult>
-conventionalSuite(const CliArgs &args, const DramConfig &dram,
-                  double absRowScale = 1.0)
-{
-    const ExperimentOptions opts = args.experimentOptions();
-    const unsigned jobs = args.jobs();
-    detail::announceSuite(dram.name, opts, jobs);
-    auto results = runConventionalSuite(dram, opts, absRowScale, jobs,
-                                        detail::progressLine());
-    checkNoViolations(results);
-    return results;
-}
-
-/** Run the benchmark suite through the 3D DRAM cache (jobs as above). */
-inline std::vector<ComparisonResult>
-threeDSuite(const CliArgs &args, const DramConfig &threeD)
-{
-    const ExperimentOptions opts = args.experimentOptions();
-    const unsigned jobs = args.jobs();
-    detail::announceSuite(threeD.name, opts, jobs);
-    auto results =
-        runThreeDSuite(threeD, opts, jobs, detail::progressLine());
-    checkNoViolations(results);
-    return results;
-}
-
-/** @name Figure metric extractors. */
-///@{
-inline double
-refreshEnergySaving(const ComparisonResult &r)
-{
-    return r.refreshEnergySaving();
-}
-
-inline double
-totalEnergySaving(const ComparisonResult &r)
-{
-    return r.totalEnergySaving();
-}
-
-inline double
-perfImprovement(const ComparisonResult &r)
-{
-    return r.perfImprovement();
-}
-///@}
 
 } // namespace smartref::bench

@@ -1,9 +1,9 @@
 /**
  * @file
- * Microbenchmark for the service-layer metrics registry: quantifies
+ * Microbenchmark for the metrics registry: quantifies
  * what counter adds, histogram observes and the SMARTREF_METRIC_*
  * macro sites cost, and — the number the CI gate cares about — how
- * much instrumenting the serving stack slows a real smoke sweep.
+ * much instrumenting the sweep stack slows a real smoke sweep.
  *
  * Measured shapes:
  *

@@ -4,9 +4,8 @@
 # The paper figures (6-18) come from one smartref_sweep run over the
 # "figures" grid: each config's 32-benchmark suite is simulated once
 # and every figure is derived from it, fanned out over all cores.
-# --seed-mode fixed keeps per-benchmark numbers identical to the
-# historical serial bench binaries (every job at the base seed), which
-# is what EXPERIMENTS.md was generated with.
+# --seed-mode fixed runs every job at the base seed, which is what
+# EXPERIMENTS.md was generated with.
 #
 # Usage: scripts/run_all_figures.sh [build-dir] [results-dir] [jobs]
 set -euo pipefail

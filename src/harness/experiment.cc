@@ -1,17 +1,15 @@
 #include "harness/experiment.hh"
 
-#include <charconv>
 #include <cmath>
 #include <iostream>
-#include <mutex>
 #include <stdexcept>
 
 #include "dram/energy_ledger.hh"
 #include "harness/sharded.hh"
+#include "sim/json_writer.hh"
 #include "sim/logging.hh"
 #include "sim/mini_json.hh"
 #include "sim/phase_profiler.hh"
-#include "sim/thread_pool.hh"
 
 namespace smartref {
 
@@ -155,63 +153,11 @@ runConventional(const BenchmarkProfile &profile, const DramConfig &dram,
                 PolicyKind policy, const ExperimentOptions &opts,
                 double absRowScale)
 {
-    if (dram.channels > 1)
-        return runShardedConventional(profile, dram, policy, opts,
-                                      absRowScale);
     if (opts.verbose) {
-        std::cerr << "  [" << dram.name << "/" << toString(policy) << "] "
-                  << profile.name << "..." << std::endl;
-    }
-    SystemConfig cfg;
-    cfg.dram = dram;
-    cfg.policy = policy;
-    cfg.smart = smartConfig(opts);
-    cfg.heatmap = opts.heatmap;
-    cfg.audit = opts.audit;
-    cfg.ledger = opts.ledger;
-    cfg.profiler = opts.profiler;
-    cfg.retentionClasses = opts.retentionClasses;
-    std::unique_ptr<EnergyLedger> checkLedger;
-    if (opts.checkConservation && !cfg.ledger) {
-        checkLedger = std::make_unique<EnergyLedger>(
-            EnergyLedger::Shape{dram.org.ranks, dram.org.banks});
-        cfg.ledger = checkLedger.get();
-    }
-    System sys(cfg);
-    for (const auto &wp :
-         conventionalParams(profile, dram, absRowScale, opts.seed)) {
-        sys.addWorkload(wp);
-    }
-
-    sys.run(opts.warmup);
-    const EnergySnapshot atWarm = captureSnapshot(sys);
-    sys.run(opts.measure);
-    const EnergySnapshot atEnd = captureSnapshot(sys);
-
-    const std::uint64_t stale =
-        sys.dram().retention().finalCheck(sys.eventQueue().now());
-    EnergySnapshot delta = atEnd - atWarm;
-    delta.violations += stale;
-
-    if (opts.checkConservation)
-        sys.dram().verifyLedger(true);
-
-    RunResult r = reduce(profile.name, profile.suite, toString(policy),
-                         delta, sys.controller().maxRefreshBacklog(),
-                         &sys.controller().latencyHistogram());
-    r.eventsExecuted = sys.eventQueue().executed();
-    return r;
-}
-
-RunResult
-runShardedConventional(const BenchmarkProfile &profile,
-                       const DramConfig &dram, PolicyKind policy,
-                       const ExperimentOptions &opts, double absRowScale)
-{
-    if (opts.verbose) {
-        std::cerr << "  [" << dram.name << "/" << toString(policy) << "/"
-                  << dram.channels << "ch] " << profile.name << "..."
-                  << std::endl;
+        std::cerr << "  [" << dram.name << "/" << toString(policy);
+        if (dram.channels > 1)
+            std::cerr << "/" << dram.channels << "ch";
+        std::cerr << "] " << profile.name << "..." << std::endl;
     }
     SystemConfig cfg;
     cfg.dram = dram;
@@ -235,7 +181,7 @@ runShardedConventional(const BenchmarkProfile &profile,
     for (std::uint32_t c = 0; c < dram.channels; ++c) {
         for (const auto &wp :
              conventionalParams(profile, chDram, absRowScale,
-                                shardChannelSeed(opts.seed, c))) {
+                                sys.channelSeed(opts.seed, c))) {
             sys.channel(c).addWorkload(wp);
         }
     }
@@ -265,33 +211,6 @@ runShardedConventional(const BenchmarkProfile &profile,
                          delta, sys.maxRefreshBacklog(), &latency);
     r.eventsExecuted = sys.eventsExecuted();
     return r;
-}
-
-ComparisonResult
-compareConventional(const BenchmarkProfile &profile, const DramConfig &dram,
-                    const ExperimentOptions &opts, double absRowScale)
-{
-    ComparisonResult c;
-    c.benchmark = profile.name;
-    c.suite = profile.suite;
-    // The heatmap, audit trail and ledger observe the policy under test
-    // only; the baseline run would otherwise double every counter. The
-    // profiler covers both runs under separate stage scopes.
-    ExperimentOptions baseOpts = opts;
-    baseOpts.heatmap = nullptr;
-    baseOpts.audit = nullptr;
-    baseOpts.ledger = nullptr;
-    {
-        PhaseScope stage(opts.profiler, "baseline");
-        c.baseline = runConventional(profile, dram, PolicyKind::Cbr,
-                                     baseOpts, absRowScale);
-    }
-    {
-        PhaseScope stage(opts.profiler, "policy");
-        c.smart = runConventional(profile, dram, PolicyKind::Smart, opts,
-                                  absRowScale);
-    }
-    return c;
 }
 
 RunResult
@@ -343,75 +262,31 @@ runThreeD(const BenchmarkProfile &profile, const DramConfig &threeD,
 }
 
 ComparisonResult
-compareThreeD(const BenchmarkProfile &profile, const DramConfig &threeD,
-              const ExperimentOptions &opts)
+comparePolicy(const BenchmarkProfile &profile, const DramConfig &dram,
+              PolicyKind policy, bool threeD, const ExperimentOptions &opts,
+              double absRowScale)
 {
-    ComparisonResult c;
-    c.benchmark = profile.name;
-    c.suite = profile.suite;
+    const auto run = [&](PolicyKind kind, const ExperimentOptions &o) {
+        return threeD ? runThreeD(profile, dram, kind, o)
+                      : runConventional(profile, dram, kind, o,
+                                        absRowScale);
+    };
     ExperimentOptions baseOpts = opts;
     baseOpts.heatmap = nullptr;
     baseOpts.audit = nullptr;
     baseOpts.ledger = nullptr;
+    baseOpts.retentionClasses = nullptr;
+
+    ComparisonResult c;
+    c.benchmark = profile.name;
+    c.suite = profile.suite;
     {
         PhaseScope stage(opts.profiler, "baseline");
-        c.baseline = runThreeD(profile, threeD, PolicyKind::Cbr, baseOpts);
+        c.baseline = run(PolicyKind::Cbr, baseOpts);
     }
-    {
-        PhaseScope stage(opts.profiler, "policy");
-        c.smart = runThreeD(profile, threeD, PolicyKind::Smart, opts);
-    }
+    PhaseScope stage(opts.profiler, "policy");
+    c.smart = run(policy, opts);
     return c;
-}
-
-namespace {
-
-/**
- * Shared suite driver: one comparison per profile, fanned out over
- * `jobs` workers, results stored by profile index so the output order
- * (and content — every run is an isolated simulation) matches the
- * serial loop exactly.
- */
-std::vector<ComparisonResult>
-runSuite(unsigned jobs, const SuiteProgress &progress,
-         const std::function<ComparisonResult(const BenchmarkProfile &)>
-             &compare)
-{
-    const auto &profiles = allProfiles();
-    std::vector<ComparisonResult> results(profiles.size());
-    std::mutex progressMu;
-    parallelFor(jobs, profiles.size(), [&](std::size_t i) {
-        results[i] = compare(profiles[i]);
-        if (progress) {
-            std::lock_guard<std::mutex> lk(progressMu);
-            progress(results[i]);
-        }
-    });
-    return results;
-}
-
-} // namespace
-
-std::vector<ComparisonResult>
-runConventionalSuite(const DramConfig &dram, const ExperimentOptions &opts,
-                     double absRowScale, unsigned jobs,
-                     const SuiteProgress &progress)
-{
-    return runSuite(jobs, progress,
-                    [&](const BenchmarkProfile &profile) {
-                        return compareConventional(profile, dram, opts,
-                                                   absRowScale);
-                    });
-}
-
-std::vector<ComparisonResult>
-runThreeDSuite(const DramConfig &threeD, const ExperimentOptions &opts,
-               unsigned jobs, const SuiteProgress &progress)
-{
-    return runSuite(jobs, progress,
-                    [&](const BenchmarkProfile &profile) {
-                        return compareThreeD(profile, threeD, opts);
-                    });
 }
 
 double
@@ -426,34 +301,6 @@ geometricMean(const std::vector<double> &values)
 }
 
 namespace {
-
-/** Shortest round-trip decimal form (exact, locale-independent). */
-std::string
-cacheNumber(double v)
-{
-    char buf[32];
-    auto res = std::to_chars(buf, buf + sizeof(buf), v);
-    SMARTREF_ASSERT(res.ec == std::errc(), "to_chars failed");
-    return std::string(buf, res.ptr);
-}
-
-std::string
-cacheQuoted(const std::string &s)
-{
-    std::string out = "\"";
-    for (char c : s) {
-        switch (c) {
-          case '"': out += "\\\""; break;
-          case '\\': out += "\\\\"; break;
-          case '\n': out += "\\n"; break;
-          case '\r': out += "\\r"; break;
-          case '\t': out += "\\t"; break;
-          default: out += c;
-        }
-    }
-    out += '"';
-    return out;
-}
 
 double
 requiredNumber(const minijson::Value &v, const char *name)
@@ -470,21 +317,21 @@ requiredNumber(const minijson::Value &v, const char *name)
 void
 writeRunResultJson(std::ostream &os, const RunResult &r)
 {
-    os << "{\"benchmark\":" << cacheQuoted(r.benchmark)
-       << ",\"suite\":" << cacheQuoted(r.suite)
-       << ",\"policy\":" << cacheQuoted(r.policy)
-       << ",\"simSeconds\":" << cacheNumber(r.simSeconds)
-       << ",\"refreshesPerSec\":" << cacheNumber(r.refreshesPerSec)
-       << ",\"refreshEnergyJ\":" << cacheNumber(r.refreshEnergyJ)
-       << ",\"totalEnergyJ\":" << cacheNumber(r.totalEnergyJ)
-       << ",\"overheadJ\":" << cacheNumber(r.overheadJ)
-       << ",\"avgLatencyNs\":" << cacheNumber(r.avgLatencyNs)
-       << ",\"latencySumSec\":" << cacheNumber(r.latencySumSec)
-       << ",\"latencyP50Ns\":" << cacheNumber(r.latencyP50Ns)
-       << ",\"latencyP95Ns\":" << cacheNumber(r.latencyP95Ns)
-       << ",\"latencyP99Ns\":" << cacheNumber(r.latencyP99Ns)
+    os << "{\"benchmark\":" << jsonQuoted(r.benchmark)
+       << ",\"suite\":" << jsonQuoted(r.suite)
+       << ",\"policy\":" << jsonQuoted(r.policy)
+       << ",\"simSeconds\":" << jsonNumber(r.simSeconds)
+       << ",\"refreshesPerSec\":" << jsonNumber(r.refreshesPerSec)
+       << ",\"refreshEnergyJ\":" << jsonNumber(r.refreshEnergyJ)
+       << ",\"totalEnergyJ\":" << jsonNumber(r.totalEnergyJ)
+       << ",\"overheadJ\":" << jsonNumber(r.overheadJ)
+       << ",\"avgLatencyNs\":" << jsonNumber(r.avgLatencyNs)
+       << ",\"latencySumSec\":" << jsonNumber(r.latencySumSec)
+       << ",\"latencyP50Ns\":" << jsonNumber(r.latencyP50Ns)
+       << ",\"latencyP95Ns\":" << jsonNumber(r.latencyP95Ns)
+       << ",\"latencyP99Ns\":" << jsonNumber(r.latencyP99Ns)
        << ",\"demandBlockedByRefreshTicks\":"
-       << cacheNumber(r.demandBlockedByRefreshTicks)
+       << jsonNumber(r.demandBlockedByRefreshTicks)
        << ",\"refreshStallsAvoided\":" << r.refreshStallsAvoided
        << ",\"subarrayConflicts\":" << r.subarrayConflicts
        << ",\"demandAccesses\":" << r.demandAccesses

@@ -12,7 +12,6 @@
 
 #pragma once
 
-#include <functional>
 #include <string>
 #include <vector>
 
@@ -194,14 +193,13 @@ struct ExperimentOptions
     /**
      * Optional spatial heatmap (not owned) attached to the system under
      * test for the whole run (warmup included — the heatmap is a spatial
-     * census, not a windowed metric). Callers comparing policies attach
-     * it only to the run they want observed.
+     * census, not a windowed metric). comparePolicy() attaches it to the
+     * run under test only.
      */
     RefreshHeatmap *heatmap = nullptr;
     /**
      * Optional refresh decision audit trail and energy ledger (not
-     * owned), attached like the heatmap: to the run under test only
-     * (the baseline run of a comparison is not observed).
+     * owned), attached like the heatmap: to the run under test only.
      */
     RefreshAudit *audit = nullptr;
     EnergyLedger *ledger = nullptr;
@@ -220,73 +218,43 @@ struct ExperimentOptions
     bool checkConservation = false;
     /**
      * Optional per-row retention-class map (shared, immutable).
-     * Required by the retention-aware policy; callers comparing
-     * policies attach it to the run under test only so the CBR
-     * baseline keeps the uniform worst-case retention model.
+     * Required by the retention-aware policy; comparePolicy() applies
+     * it to the run under test only, so the CBR baseline keeps the
+     * uniform worst-case retention model.
      */
     std::shared_ptr<const RetentionClassMap> retentionClasses;
 };
 
 /**
- * Run one benchmark on a conventional module with one policy. Configs
- * with channels > 1 are delegated to runShardedConventional().
+ * Run one benchmark on a conventional module with one policy, on a
+ * ShardedSystem (harness/sharded.hh) of `dram.channels` channels. A
+ * lone channel runs the base seed's workload stream; wider configs
+ * give each channel its own shardChannelSeed() stream and reduce the
+ * merged totals, byte-identical for any opts.shardJobs.
  */
 RunResult runConventional(const BenchmarkProfile &profile,
                           const DramConfig &dram, PolicyKind policy,
                           const ExperimentOptions &opts,
                           double absRowScale = 1.0);
 
-/**
- * Run one benchmark across every channel of a multi-channel config in
- * epoch lock-step (harness/sharded.hh) and reduce the merged totals to
- * the same RunResult a single-channel run reports. Each channel gets
- * its own workload stream seeded by shardChannelSeed(); the merged
- * metrics are byte-identical for any opts.shardJobs.
- */
-RunResult runShardedConventional(const BenchmarkProfile &profile,
-                                 const DramConfig &dram, PolicyKind policy,
-                                 const ExperimentOptions &opts,
-                                 double absRowScale = 1.0);
-
-/** CBR baseline vs Smart Refresh on a conventional module. */
-ComparisonResult compareConventional(const BenchmarkProfile &profile,
-                                     const DramConfig &dram,
-                                     const ExperimentOptions &opts,
-                                     double absRowScale = 1.0);
-
 /** Run one benchmark through the 3D DRAM cache with one policy. */
 RunResult runThreeD(const BenchmarkProfile &profile,
                     const DramConfig &threeD, PolicyKind policy,
                     const ExperimentOptions &opts);
 
-/** CBR baseline vs Smart Refresh on the 3D DRAM cache. */
-ComparisonResult compareThreeD(const BenchmarkProfile &profile,
-                               const DramConfig &threeD,
-                               const ExperimentOptions &opts);
-
 /**
- * Per-comparison completion callback for suite runs. Invoked under an
- * internal mutex (callbacks never overlap) in *completion* order, which
- * depends on scheduling when jobs > 1; the returned result vector is
- * always in profile order regardless.
+ * CBR baseline vs `policy` for one benchmark: through the 3D DRAM
+ * cache (runThreeD) when `threeD`, else on a conventional module
+ * (runConventional with `absRowScale`). The heatmap, audit trail,
+ * ledger and retention-class map apply to the run under test only:
+ * the baseline keeps the uniform worst-case retention model and
+ * doubles no observer's counts. The profiler covers both runs, under
+ * "baseline" and "policy" stage scopes.
  */
-using SuiteProgress = std::function<void(const ComparisonResult &)>;
-
-/**
- * All 32 profiles on a conventional module. With jobs > 1 the
- * benchmarks are fanned out over a work-stealing thread pool; each
- * comparison is an independent simulation, so the results are
- * identical to the serial run (see docs/sweep.md for the contract).
- */
-std::vector<ComparisonResult>
-runConventionalSuite(const DramConfig &dram, const ExperimentOptions &opts,
-                     double absRowScale = 1.0, unsigned jobs = 1,
-                     const SuiteProgress &progress = {});
-
-/** All 32 profiles through the 3D DRAM cache (jobs as above). */
-std::vector<ComparisonResult>
-runThreeDSuite(const DramConfig &threeD, const ExperimentOptions &opts,
-               unsigned jobs = 1, const SuiteProgress &progress = {});
+ComparisonResult comparePolicy(const BenchmarkProfile &profile,
+                               const DramConfig &dram, PolicyKind policy,
+                               bool threeD, const ExperimentOptions &opts,
+                               double absRowScale = 1.0);
 
 /** Geometric mean (values must be positive; non-positive are clamped). */
 double geometricMean(const std::vector<double> &values);

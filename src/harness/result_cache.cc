@@ -7,6 +7,7 @@
 #include <sstream>
 #include <system_error>
 
+#include "sim/json_writer.hh"
 #include "sim/logging.hh"
 #include "sim/metrics.hh"
 #include "sim/mini_json.hh"
@@ -41,23 +42,6 @@ processId()
 #endif
 }
 
-std::string
-quoted(const std::string &s)
-{
-    std::string out = "\"";
-    for (char c : s) {
-        switch (c) {
-          case '"': out += "\\\""; break;
-          case '\\': out += "\\\\"; break;
-          case '\n': out += "\\n"; break;
-          case '\r': out += "\\r"; break;
-          case '\t': out += "\\t"; break;
-          default: out += c;
-        }
-    }
-    out += '"';
-    return out;
-}
 
 } // namespace
 
@@ -112,8 +96,8 @@ std::string
 ResultCache::comparisonJson(const ComparisonResult &c)
 {
     std::ostringstream oss;
-    oss << "{\"benchmark\":" << quoted(c.benchmark)
-        << ",\"suite\":" << quoted(c.suite) << ",\"baseline\":";
+    oss << "{\"benchmark\":" << jsonQuoted(c.benchmark)
+        << ",\"suite\":" << jsonQuoted(c.suite) << ",\"baseline\":";
     writeRunResultJson(oss, c.baseline);
     oss << ",\"smart\":";
     writeRunResultJson(oss, c.smart);
@@ -200,14 +184,14 @@ ResultCache::store(const ResultCacheKey &key, const SweepJob &job,
     const auto &p = job.point;
     body << "{\"schema\":\"" << kEntrySchema << "\""
          << ",\"key\":\"" << key.hex << "\""
-         << ",\"canonical\":" << quoted(key.canonical)
+         << ",\"canonical\":" << jsonQuoted(key.canonical)
          << ",\"meta\":" << metaJson(meta)
-         << ",\"point\":{\"config\":" << quoted(p.config)
-         << ",\"benchmark\":" << quoted(p.benchmark)
-         << ",\"policy\":" << quoted(p.policy)
+         << ",\"point\":{\"config\":" << jsonQuoted(p.config)
+         << ",\"benchmark\":" << jsonQuoted(p.benchmark)
+         << ",\"policy\":" << jsonQuoted(p.policy)
          << ",\"counterBits\":" << p.counterBits
          << ",\"retentionMs\":" << p.retentionMs
-         << ",\"parallelism\":" << quoted(p.parallelism) << "}"
+         << ",\"parallelism\":" << jsonQuoted(p.parallelism) << "}"
          << ",\"seed\":\"" << job.seed << "\""
          << ",\"comparison\":" << comparisonJson(result.comparison)
          << "}\n";

@@ -13,14 +13,14 @@
  * -j/-shard-jobs, a stored result is *the* result of that point — the
  * same memoization contract the paper applies in silicon (a refresh
  * whose work was already done by an access is skipped) lifted to the
- * experiment-serving layer: never re-simulate a (config, seed, build)
+ * experiment layer: never re-simulate a (config, seed, build)
  * point whose result already exists.
  *
  * Robustness contract:
  *  - writes go to a per-process temp file and are atomically renamed
- *    into place, so concurrent writers (parallel sweeps, several
- *    sweepd workers) can race on the same key and readers still only
- *    ever see complete entries;
+ *    into place, so concurrent writers (smartref_sweep processes
+ *    sharing one cache) can race on the same key and readers still
+ *    only ever see complete entries;
  *  - a truncated, corrupt, schema-mismatched or key-mismatched entry
  *    is a miss (counted in stats().corrupt) and is overwritten by the
  *    recompute — never a crash;

@@ -45,6 +45,7 @@ ShardedSystem::ShardedSystem(const SystemConfig &cfg, unsigned shardJobs,
     }
 
     shards_.resize(channels_);
+    channelNs_.resize(channels_);
     for (std::uint32_t c = 0; c < channels_; ++c) {
         Shard &shard = shards_[c];
         SystemConfig chCfg = cfg_;
@@ -93,43 +94,50 @@ ShardedSystem::forEachChannel(const Body &body)
 void
 ShardedSystem::run(Tick duration)
 {
-    using clock = std::chrono::steady_clock;
-    const bool timed = kMetricsCompiledIn && metricsEnabled();
-    std::vector<std::int64_t> channelNs(timed ? channels_ : 0);
+    if (channels_ == 1) {
+        // Nothing to lock-step with. One slice per call also keeps the
+        // run identical to a plain System: System::run() integrates
+        // background energy at the end of every slice.
+        runSlice(duration);
+        return;
+    }
     Tick advanced = 0;
     while (advanced < duration) {
         const Tick step = std::min<Tick>(epoch_, duration - advanced);
-        if (!timed) {
-            forEachChannel(
-                [this, step](std::size_t c) { shards_[c].sys->run(step); });
-        } else {
-            // Per-channel wall per epoch: each worker writes its own
-            // slot, so the timing adds no synchronisation. A channel's
-            // "lag" is how long it idled at the epoch barrier waiting
-            // for the slowest sibling — large sustained lag means the
-            // channel shards are imbalanced.
-            const auto epochStart = clock::now();
-            forEachChannel([this, step, &channelNs](std::size_t c) {
-                const auto t0 = clock::now();
-                shards_[c].sys->run(step);
-                channelNs[c] =
-                    std::chrono::duration_cast<std::chrono::nanoseconds>(
-                        clock::now() - t0)
-                        .count();
-            });
-            const std::int64_t epochNs =
-                std::chrono::duration_cast<std::chrono::nanoseconds>(
-                    clock::now() - epochStart)
-                    .count();
-            SMARTREF_METRIC_INC("sharded.epochs");
-            for (std::size_t c = 0; c < channels_; ++c) {
-                [[maybe_unused]] const std::int64_t lag =
-                    epochNs - channelNs[c];
-                SMARTREF_METRIC_OBSERVE("sharded.epoch_lag_ns",
-                                        lag > 0 ? lag : 0);
-            }
-        }
+        runSlice(step);
         advanced += step;
+    }
+}
+
+void
+ShardedSystem::runSlice(Tick step)
+{
+    using clock = std::chrono::steady_clock;
+    if (!(kMetricsCompiledIn && metricsEnabled())) {
+        forEachChannel(
+            [this, step](std::size_t c) { shards_[c].sys->run(step); });
+        return;
+    }
+    // Per-channel wall per epoch: each worker writes its own slot, so
+    // the timing adds no synchronisation. A channel's "lag" is how long
+    // it idled at the epoch barrier waiting for the slowest sibling —
+    // large sustained lag means the channel shards are imbalanced.
+    const auto epochStart = clock::now();
+    forEachChannel([this, step](std::size_t c) {
+        const auto t0 = clock::now();
+        shards_[c].sys->run(step);
+        channelNs_[c] = std::chrono::duration_cast<std::chrono::nanoseconds>(
+                            clock::now() - t0)
+                            .count();
+    });
+    const std::int64_t epochNs =
+        std::chrono::duration_cast<std::chrono::nanoseconds>(clock::now() -
+                                                             epochStart)
+            .count();
+    SMARTREF_METRIC_INC("sharded.epochs");
+    for (std::size_t c = 0; c < channels_; ++c) {
+        [[maybe_unused]] const std::int64_t lag = epochNs - channelNs_[c];
+        SMARTREF_METRIC_OBSERVE("sharded.epoch_lag_ns", lag > 0 ? lag : 0);
     }
 }
 

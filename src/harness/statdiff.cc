@@ -1,46 +1,19 @@
 #include "harness/statdiff.hh"
 
 #include <algorithm>
-#include <charconv>
 #include <cmath>
 #include <fstream>
 #include <ostream>
 #include <sstream>
 
 #include "harness/report.hh"
+#include "sim/json_writer.hh"
 #include "sim/logging.hh"
 #include "sim/mini_json.hh"
 
 namespace smartref {
 
 namespace {
-
-std::string
-num(double v)
-{
-    char buf[32];
-    auto res = std::to_chars(buf, buf + sizeof(buf), v);
-    SMARTREF_ASSERT(res.ec == std::errc(), "to_chars failed");
-    return std::string(buf, res.ptr);
-}
-
-std::string
-jsonQuote(const std::string &s)
-{
-    std::string out = "\"";
-    for (char c : s) {
-        switch (c) {
-          case '"': out += "\\\""; break;
-          case '\\': out += "\\\\"; break;
-          case '\n': out += "\\n"; break;
-          case '\r': out += "\\r"; break;
-          case '\t': out += "\\t"; break;
-          default: out += c;
-        }
-    }
-    out += '"';
-    return out;
-}
 
 std::string
 readFile(const std::string &path, const char *what)
@@ -250,10 +223,11 @@ writeDiffReport(std::ostream &os, const DiffResult &result)
         ReportTable table(
             {"metric", "a", "b", "absDiff", "relDiff", "tol"});
         for (const auto &f : result.failures) {
-            std::string tolDesc = "abs<=" + num(f.tolerance.abs) +
-                                  " rel<=" + num(f.tolerance.rel);
-            table.addRow({f.metric, num(f.a), num(f.b), num(f.absDiff),
-                          num(f.relDiff), tolDesc});
+            std::string tolDesc = "abs<=" + jsonNumber(f.tolerance.abs) +
+                                  " rel<=" + jsonNumber(f.tolerance.rel);
+            table.addRow({f.metric, jsonNumber(f.a), jsonNumber(f.b),
+                          jsonNumber(f.absDiff), jsonNumber(f.relDiff),
+                          tolDesc});
         }
         table.print(os);
     }
@@ -275,19 +249,19 @@ writeDiffJson(std::ostream &os, const DiffResult &result)
        << ",\"ignored\":" << result.ignored << ",\"failures\":[";
     for (std::size_t i = 0; i < result.failures.size(); ++i) {
         const auto &f = result.failures[i];
-        os << (i ? "," : "") << "{\"metric\":" << jsonQuote(f.metric)
-           << ",\"a\":" << num(f.a) << ",\"b\":" << num(f.b)
-           << ",\"absDiff\":" << num(f.absDiff)
-           << ",\"relDiff\":" << num(f.relDiff)
-           << ",\"tolAbs\":" << num(f.tolerance.abs)
-           << ",\"tolRel\":" << num(f.tolerance.rel) << "}";
+        os << (i ? "," : "") << "{\"metric\":" << jsonQuoted(f.metric)
+           << ",\"a\":" << jsonNumber(f.a) << ",\"b\":" << jsonNumber(f.b)
+           << ",\"absDiff\":" << jsonNumber(f.absDiff)
+           << ",\"relDiff\":" << jsonNumber(f.relDiff)
+           << ",\"tolAbs\":" << jsonNumber(f.tolerance.abs)
+           << ",\"tolRel\":" << jsonNumber(f.tolerance.rel) << "}";
     }
     os << "],\"missingInA\":[";
     for (std::size_t i = 0; i < result.missingInA.size(); ++i)
-        os << (i ? "," : "") << jsonQuote(result.missingInA[i]);
+        os << (i ? "," : "") << jsonQuoted(result.missingInA[i]);
     os << "],\"missingInB\":[";
     for (std::size_t i = 0; i < result.missingInB.size(); ++i)
-        os << (i ? "," : "") << jsonQuote(result.missingInB[i]);
+        os << (i ? "," : "") << jsonQuoted(result.missingInB[i]);
     os << "]}\n";
 }
 

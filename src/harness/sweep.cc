@@ -1,7 +1,6 @@
 #include "harness/sweep.hh"
 
 #include <algorithm>
-#include <charconv>
 #include <chrono>
 #include <fstream>
 #include <functional>
@@ -16,7 +15,7 @@
 #include "harness/result_cache.hh"
 #include "harness/sweep_telemetry.hh"
 #include "harness/system.hh"
-#include "harness/threed_system.hh"
+#include "sim/json_writer.hh"
 #include "sim/logging.hh"
 #include "sim/metrics.hh"
 #include "sim/phase_profiler.hh"
@@ -25,51 +24,6 @@
 #include "trace/benchmark_profiles.hh"
 
 namespace smartref {
-
-namespace {
-
-/**
- * Shortest round-trip decimal form of a double. std::to_chars is both
- * exact and locale-independent, which the byte-identical aggregate
- * contract depends on.
- */
-std::string
-jsonNumber(double v)
-{
-    char buf[32];
-    auto res = std::to_chars(buf, buf + sizeof(buf), v);
-    SMARTREF_ASSERT(res.ec == std::errc(), "to_chars failed");
-    return std::string(buf, res.ptr);
-}
-
-std::string
-jsonEscape(const std::string &s)
-{
-    std::string out;
-    out.reserve(s.size() + 2);
-    for (char c : s) {
-        switch (c) {
-          case '"': out += "\\\""; break;
-          case '\\': out += "\\\\"; break;
-          case '\n': out += "\\n"; break;
-          case '\r': out += "\\r"; break;
-          case '\t': out += "\\t"; break;
-          default: out += c;
-        }
-    }
-    return out;
-}
-
-std::string
-quoted(const std::string &s)
-{
-    std::string out = "\"";
-    out += jsonEscape(s);
-    out += '"';
-    return out;
-}
-
-} // namespace
 
 SweepJobResult
 runSweepJob(const SweepJob &job, const SweepRunOptions &opts)
@@ -103,53 +57,32 @@ runSweepJob(const SweepJob &job, const SweepRunOptions &opts)
 
     SweepJobResult result;
     result.job = job;
-    result.comparison.benchmark = profile.name;
-    result.comparison.suite = profile.suite;
     if (opts.collectHeatmaps) {
-        // The heatmap observes the policy-under-test run only (the CBR
-        // baseline run keeps eoBase.heatmap null below); counterMax
-        // matches the policy's counter width so merged groups — which
-        // share counterBits — always agree on shape.
+        // The heatmap observes the policy-under-test run only;
+        // counterMax matches the policy's counter width so merged
+        // groups — which share counterBits — always agree on shape.
         result.heatmap = std::make_shared<RefreshHeatmap>(
             dram.org.ranks, dram.org.banks, opts.segments,
             (1u << job.point.counterBits) - 1);
         eo.heatmap = result.heatmap.get();
     }
-    ExperimentOptions eoBase = eo;
-    eoBase.heatmap = nullptr;
     if (policy == PolicyKind::RetentionAware) {
         // The retention-aware policy needs a per-row class map; derive
         // it from the job's coordinate seed so -j1 and -jN sweeps see
-        // the same rows in the same classes. The CBR baseline run keeps
-        // the uniform worst-case retention model (eoBase has no map).
+        // the same rows in the same classes.
         RetentionClassParams cp;
         cp.seed = job.seed;
         eo.retentionClasses = std::make_shared<const RetentionClassMap>(
             dram.org.totalRows(), cp);
     }
-    if (isThreeDConfigName(job.point.config)) {
-        {
-            PhaseScope stage(eo.profiler, "baseline");
-            result.comparison.baseline =
-                runThreeD(profile, dram, PolicyKind::Cbr, eoBase);
-        }
-        PhaseScope stage(eo.profiler, "policy");
-        result.comparison.smart = runThreeD(profile, dram, policy, eo);
-    } else {
-        // Larger modules spread each footprint over more rows than the
-        // 2 GB calibration; the scale follows the row-buffer geometry
-        // (absRowScaleFor), not the config's name, so new configs are
-        // never silently unscaled.
-        const double scale = absRowScaleFor(dram.org);
-        {
-            PhaseScope stage(eo.profiler, "baseline");
-            result.comparison.baseline = runConventional(
-                profile, dram, PolicyKind::Cbr, eoBase, scale);
-        }
-        PhaseScope stage(eo.profiler, "policy");
-        result.comparison.smart =
-            runConventional(profile, dram, policy, eo, scale);
-    }
+    // Larger modules spread each footprint over more rows than the 2 GB
+    // calibration; the scale follows the row-buffer geometry
+    // (absRowScaleFor), not the config's name, so new configs are never
+    // silently unscaled.
+    const bool threeD = isThreeDConfigName(job.point.config);
+    result.comparison =
+        comparePolicy(profile, dram, policy, threeD, eo,
+                      threeD ? 1.0 : absRowScaleFor(dram.org));
     if (opts.profile)
         result.profileJson = profiler.toJson();
 
@@ -335,7 +268,7 @@ namespace {
 void
 writeRunResult(std::ostream &os, const RunResult &r)
 {
-    os << "{\"policy\":" << quoted(r.policy)
+    os << "{\"policy\":" << jsonQuoted(r.policy)
        << ",\"simSeconds\":" << jsonNumber(r.simSeconds)
        << ",\"refreshesPerSec\":" << jsonNumber(r.refreshesPerSec)
        << ",\"refreshEnergyJ\":" << jsonNumber(r.refreshEnergyJ)
@@ -365,7 +298,7 @@ writeArray(std::ostream &os, const std::vector<T> &values, bool asString)
             (void)asString;
             os << +values[i];
         } else {
-            os << quoted(values[i]);
+            os << jsonQuoted(values[i]);
         }
     }
     os << "]";
@@ -429,7 +362,7 @@ writeSweepJson(const SweepGrid &grid, const SweepRunOptions &opts,
     meta.seedMode = seedModeName(opts.seedMode);
     os << ",\"meta\":" << metaJson(meta);
 
-    os << ",\"grid\":{\"name\":" << quoted(grid.name) << ",\"configs\":";
+    os << ",\"grid\":{\"name\":" << jsonQuoted(grid.name) << ",\"configs\":";
     writeArray(os, grid.configs, true);
     os << ",\"benchmarks\":";
     writeArray(os, grid.benchmarks, true);
@@ -448,7 +381,7 @@ writeSweepJson(const SweepGrid &grid, const SweepRunOptions &opts,
        << ",\"segments\":" << opts.segments << ",\"autoReconfigure\":"
        << (opts.autoReconfigure ? "true" : "false")
        << ",\"baseSeed\":" << opts.baseSeed
-       << ",\"seedMode\":" << quoted(seedModeName(opts.seedMode)) << "}";
+       << ",\"seedMode\":" << jsonQuoted(seedModeName(opts.seedMode)) << "}";
 
     // Geometry/energy anchors of each preset in the grid: the Table 1
     // baseline refresh rate and the Table 3 address-bus energy. CI's
@@ -459,7 +392,7 @@ writeSweepJson(const SweepGrid &grid, const SweepRunOptions &opts,
         StatGroup scratch("anchors");
         BusEnergyModel bus(deriveBusParams(BusEnergyParams{}, cfg.org),
                            &scratch);
-        os << (i ? "," : "") << quoted(grid.configs[i])
+        os << (i ? "," : "") << jsonQuoted(grid.configs[i])
            << ":{\"baselineRefreshesPerSec\":"
            << jsonNumber(cfg.baselineRefreshesPerSecond())
            << ",\"busNanojoulesPerAddress\":"
@@ -473,15 +406,15 @@ writeSweepJson(const SweepGrid &grid, const SweepRunOptions &opts,
         const auto &r = results[i];
         const auto &p = r.job.point;
         os << (i ? "," : "") << "{\"index\":" << r.job.index
-           << ",\"config\":" << quoted(p.config)
-           << ",\"benchmark\":" << quoted(p.benchmark)
-           << ",\"suite\":" << quoted(r.comparison.suite)
-           << ",\"policy\":" << quoted(p.policy)
+           << ",\"config\":" << jsonQuoted(p.config)
+           << ",\"benchmark\":" << jsonQuoted(p.benchmark)
+           << ",\"suite\":" << jsonQuoted(r.comparison.suite)
+           << ",\"policy\":" << jsonQuoted(p.policy)
            << ",\"counterBits\":" << p.counterBits
            << ",\"retentionMs\":" << p.retentionMs
-           << ",\"parallelism\":" << quoted(p.parallelism)
+           << ",\"parallelism\":" << jsonQuoted(p.parallelism)
            // As a string: 64-bit seeds overflow JSON's double numbers.
-           << ",\"seed\":" << quoted(std::to_string(r.job.seed))
+           << ",\"seed\":" << jsonQuoted(std::to_string(r.job.seed))
            << ",\"baseline\":";
         writeRunResult(os, r.comparison.baseline);
         os << ",\"smart\":";
@@ -512,11 +445,11 @@ writeSweepJson(const SweepGrid &grid, const SweepRunOptions &opts,
         for (const auto *m : g.members)
             violations += m->comparison.baseline.violations +
                           m->comparison.smart.violations;
-        os << (i ? "," : "") << "{\"config\":" << quoted(g.config)
+        os << (i ? "," : "") << "{\"config\":" << jsonQuoted(g.config)
            << ",\"retentionMs\":" << g.retentionMs
            << ",\"counterBits\":" << g.counterBits
-           << ",\"policy\":" << quoted(g.policy)
-           << ",\"parallelism\":" << quoted(g.parallelism)
+           << ",\"policy\":" << jsonQuoted(g.policy)
+           << ",\"parallelism\":" << jsonQuoted(g.parallelism)
            << ",\"jobs\":" << g.members.size()
            << ",\"gmeanBaselineRefreshesPerSec\":" << jsonNumber(gmeanBase)
            << ",\"gmeanSmartRefreshesPerSec\":" << jsonNumber(gmeanSmart)
@@ -597,6 +530,40 @@ writeSweepCsv(const std::vector<SweepJobResult> &results,
     if (!out)
         SMARTREF_FATAL("cannot write sweep CSV '", path, "'");
     writeSweepCsv(results, out);
+}
+
+void
+writeSweepTimingJson(const SweepGrid &grid, const SweepRunOptions &opts,
+                     const std::vector<SweepJobResult> &results,
+                     double wallSeconds, std::ostream &os)
+{
+    double jobSeconds = 0.0;
+    for (const auto &r : results)
+        jobSeconds += r.wallSeconds;
+    RunMeta meta;
+    meta.schema = "smartref-sweep-timing-v1";
+    meta.configHash = sweepConfigHash(grid, opts);
+    // The timing sidecar is already host-dependent, so it is the one
+    // sweep artifact allowed to carry the process peak RSS.
+    meta.peakRssBytes = currentPeakRssBytes();
+    os << "{\"meta\":" << metaJson(meta)
+       << ",\"grid\":" << jsonQuoted(grid.name)
+       << ",\"jobs\":" << opts.jobs << ",\"jobCount\":" << results.size()
+       << ",\"wallSeconds\":" << wallSeconds
+       << ",\"cpuJobSeconds\":" << jobSeconds
+       << ",\"parallelEfficiency\":"
+       << (wallSeconds > 0.0 && opts.jobs > 0
+               ? jobSeconds / (wallSeconds * opts.jobs)
+               : 0.0);
+    if (opts.cache) {
+        const ResultCacheStats cs = opts.cache->stats();
+        os << ",\"cache\":{\"hits\":" << cs.hits
+           << ",\"misses\":" << cs.misses << ",\"corrupt\":" << cs.corrupt
+           << ",\"stores\":" << cs.stores
+           << ",\"evictions\":" << cs.evictions
+           << ",\"verified\":" << cs.verified << "}";
+    }
+    os << "}\n";
 }
 
 std::string
@@ -691,15 +658,15 @@ writeSweepHeatmapJson(const SweepGrid &grid, const SweepRunOptions &opts,
 
     os << "{\"schema\":\"smartref-sweep-heatmap-v1\""
        << ",\"meta\":" << metaJson(meta)
-       << ",\"grid\":{\"name\":" << quoted(grid.name) << "}"
+       << ",\"grid\":{\"name\":" << jsonQuoted(grid.name) << "}"
        << ",\"groups\":[";
     for (std::size_t i = 0; i < groups.size(); ++i) {
         const auto &g = groups[i];
-        os << (i ? "," : "") << "{\"config\":" << quoted(g.config)
+        os << (i ? "," : "") << "{\"config\":" << jsonQuoted(g.config)
            << ",\"retentionMs\":" << g.retentionMs
            << ",\"counterBits\":" << g.counterBits
-           << ",\"policy\":" << quoted(g.policy)
-           << ",\"parallelism\":" << quoted(g.parallelism)
+           << ",\"policy\":" << jsonQuoted(g.policy)
+           << ",\"parallelism\":" << jsonQuoted(g.parallelism)
            << ",\"jobs\":" << g.members.size() << ",\"heatmap\":";
         merged[i].writeJson(os);
         os << "}";

@@ -178,6 +178,16 @@ void writeSweepCsv(const std::vector<SweepJobResult> &results,
                    const std::string &path);
 
 /**
+ * Write the wall-clock timing sidecar (schema smartref-sweep-timing-v1):
+ * wall and summed job seconds, parallel efficiency, the process peak
+ * RSS and, when opts.cache is attached, its counters. Host-dependent by
+ * design, so it lives apart from the byte-identical aggregates.
+ */
+void writeSweepTimingJson(const SweepGrid &grid, const SweepRunOptions &opts,
+                          const std::vector<SweepJobResult> &results,
+                          double wallSeconds, std::ostream &os);
+
+/**
  * Provenance hash of a sweep's full configuration (grid axes + run
  * options), embedded as `configHash` in the meta blocks of every
  * artifact the sweep writes.
@@ -213,8 +223,8 @@ std::uint64_t totalViolations(const std::vector<SweepJobResult> &results);
 
 /**
  * The paper figures a full-suite run over one config reproduces.
- * `configName` is the preset name; figure ids follow the bench
- * binaries (fig06..fig18).
+ * `configName` is the preset name; figure ids are the paper's figure
+ * numbers (fig06..fig18).
  */
 struct FigureSpec
 {
@@ -232,8 +242,8 @@ std::vector<FigureSpec> figuresForConfig(const std::string &configName);
 /**
  * Print the paper-figure tables for one config's full-suite results
  * (comparisons must be in profile order) and, when outDir is
- * non-empty, write one CSV per figure as `<outDir>/<id>.csv` —
- * byte-compatible with the corresponding bench binary's --csv output.
+ * non-empty, write one CSV per figure as `<outDir>/<id>.csv`: a header,
+ * one row per benchmark and a GMEAN row.
  */
 void writeFigures(std::ostream &os, const std::string &configName,
                   const std::vector<ComparisonResult> &comparisons,

@@ -55,12 +55,7 @@ deriveJobSeed(std::uint64_t baseSeed, const SweepPoint &point)
 SweepGrid
 parseSweepGrid(const std::string &jsonText)
 {
-    return sweepGridFromJson(minijson::parse(jsonText));
-}
-
-SweepGrid
-sweepGridFromJson(const minijson::Value &root)
-{
+    const minijson::Value root = minijson::parse(jsonText);
     if (!root.isObject())
         SMARTREF_FATAL("sweep grid JSON must be an object");
 

@@ -8,8 +8,7 @@
  * the expanded jobs out over the thread pool; the storage layer
  * (harness/result_cache.hh) keys finished results by the canonical
  * coordinates defined here. Keeping the spec separate means a cache
- * key or a queued sweepd request can be formed without ever
- * constructing a simulator.
+ * key can be formed without ever constructing a simulator.
  *
  * Determinism contract (shared with the execution layer):
  *  - every job's seed derives from its grid coordinates
@@ -26,10 +25,6 @@
 #include <cstdint>
 #include <string>
 #include <vector>
-
-namespace minijson {
-class Value;
-}
 
 namespace smartref {
 
@@ -82,19 +77,13 @@ struct SweepGrid
  */
 SweepGrid parseSweepGrid(const std::string &jsonText);
 
-/**
- * parseSweepGrid over an already-parsed JSON object — the form sweepd
- * requests use to embed a grid inline.
- */
-SweepGrid sweepGridFromJson(const minijson::Value &root);
-
 /** parseSweepGrid over a file's contents (fatal when unreadable). */
 SweepGrid loadSweepGrid(const std::string &path);
 
 /** How job seeds are chosen during grid expansion. */
 enum class SeedMode {
     Derived, ///< deriveJobSeed(base, point): the determinism contract
-    Fixed,   ///< every job uses the base seed (bench-binary parity)
+    Fixed,   ///< every job uses the base seed (the paper-figure runs)
 };
 
 /** "derived" / "fixed"; the spelling used in JSON artifacts. */
@@ -133,9 +122,9 @@ struct NamedGrid
 };
 
 /**
- * The predefined grids every frontend (smartref_sweep, smartref_sweepd
- * requests) resolves by name: "smoke" (the CI gate), one per paper
- * config, "figures", "bits", "policies", "policy-grid", "server".
+ * The predefined grids smartref_sweep resolves by name: "smoke" (the
+ * CI gate), one per paper config, "figures", "bits", "policies",
+ * "policy-grid", "server".
  */
 const std::vector<NamedGrid> &predefinedGrids();
 

@@ -1,11 +1,11 @@
 #include "harness/sweep_telemetry.hh"
 
-#include <charconv>
 #include <cmath>
 #include <ostream>
 #include <sstream>
 
 #include "harness/result_cache.hh"
+#include "sim/json_writer.hh"
 #include "sim/logging.hh"
 
 #if defined(__unix__) || defined(__APPLE__)
@@ -13,38 +13,6 @@
 #endif
 
 namespace smartref {
-
-namespace {
-
-/** to_chars double formatting (telemetry needs no locale surprises). */
-std::string
-num(double v)
-{
-    char buf[32];
-    auto res = std::to_chars(buf, buf + sizeof(buf), v);
-    SMARTREF_ASSERT(res.ec == std::errc(), "to_chars failed");
-    return std::string(buf, res.ptr);
-}
-
-std::string
-escaped(const std::string &s)
-{
-    std::string out;
-    out.reserve(s.size());
-    for (char ch : s) {
-        switch (ch) {
-          case '"': out += "\\\""; break;
-          case '\\': out += "\\\\"; break;
-          case '\n': out += "\\n"; break;
-          case '\t': out += "\\t"; break;
-          case '\r': out += "\\r"; break;
-          default: out += ch;
-        }
-    }
-    return out;
-}
-
-} // namespace
 
 SweepTelemetry::SweepTelemetry(const std::string &path)
     : start_(std::chrono::steady_clock::now()), file_(path), os_(&file_)
@@ -67,22 +35,6 @@ SweepTelemetry::elapsed() const
 }
 
 void
-SweepTelemetry::setTraceId(const std::string &traceId)
-{
-    std::lock_guard<std::mutex> lk(mu_);
-    traceJson_ = traceId.empty()
-                     ? std::string()
-                     : ",\"traceId\":\"" + escaped(traceId) + "\"";
-}
-
-std::string
-SweepTelemetry::traceSuffix()
-{
-    std::lock_guard<std::mutex> lk(mu_);
-    return traceJson_;
-}
-
-void
 SweepTelemetry::emitLine(const std::string &line)
 {
     std::lock_guard<std::mutex> lk(mu_);
@@ -96,12 +48,12 @@ SweepTelemetry::sweepStart(const std::string &gridName,
                            const std::string &metaJson)
 {
     std::ostringstream line;
-    line << "{\"event\":\"sweep_start\",\"t\":" << num(elapsed())
-         << ",\"grid\":\"" << escaped(gridName) << "\""
+    line << "{\"event\":\"sweep_start\",\"t\":" << jsonNumber(elapsed())
+         << ",\"grid\":" << jsonQuoted(gridName)
          << ",\"jobs\":" << jobCount << ",\"workers\":" << workers;
     if (!metaJson.empty())
         line << ",\"meta\":" << metaJson;
-    line << traceSuffix() << "}";
+    line << "}";
     {
         std::lock_guard<std::mutex> lk(mu_);
         jobCount_ = jobCount;
@@ -114,9 +66,9 @@ void
 SweepTelemetry::jobStart(const SweepJob &job)
 {
     std::ostringstream line;
-    line << "{\"event\":\"job_start\",\"t\":" << num(elapsed())
-         << ",\"index\":" << job.index << ",\"point\":\""
-         << escaped(pointKey(job.point)) << "\"" << traceSuffix() << "}";
+    line << "{\"event\":\"job_start\",\"t\":" << jsonNumber(elapsed())
+         << ",\"index\":" << job.index
+         << ",\"point\":" << jsonQuoted(pointKey(job.point)) << "}";
     emitLine(line.str());
 }
 
@@ -145,21 +97,21 @@ SweepTelemetry::jobFinish(const SweepJobResult &result)
         const double remaining =
             static_cast<double>(jobCount_ - finished_) / rate;
         if (std::isfinite(remaining))
-            eta = num(remaining);
+            eta = jsonNumber(remaining);
     }
     std::ostringstream line;
-    line << "{\"event\":\"job_finish\",\"t\":" << num(t)
-         << ",\"index\":" << result.job.index << ",\"point\":\""
-         << escaped(pointKey(result.job.point)) << "\""
-         << ",\"wallSeconds\":" << num(result.wallSeconds)
+    line << "{\"event\":\"job_finish\",\"t\":" << jsonNumber(t)
+         << ",\"index\":" << result.job.index
+         << ",\"point\":" << jsonQuoted(pointKey(result.job.point))
+         << ",\"wallSeconds\":" << jsonNumber(result.wallSeconds)
          << ",\"events\":" << events
-         << ",\"eventsPerSec\":" << num(perSec)
+         << ",\"eventsPerSec\":" << jsonNumber(perSec)
          << ",\"eta_s\":" << eta
          << ",\"cached\":" << (result.cached ? "true" : "false")
          << ",\"peakRssKb\":" << peakRssKb();
     if (!result.profileJson.empty())
         line << ",\"phases\":" << result.profileJson;
-    line << traceJson_ << "}"; // mu_ already held
+    line << "}";
     *os_ << line.str() << '\n';
     os_->flush(); // line-by-line so `tail -f` follows a live sweep
 }
@@ -170,8 +122,8 @@ SweepTelemetry::sweepFinish(double wallSeconds,
                             const ResultCacheStats *cache)
 {
     std::ostringstream line;
-    line << "{\"event\":\"sweep_finish\",\"t\":" << num(elapsed())
-         << ",\"wallSeconds\":" << num(wallSeconds)
+    line << "{\"event\":\"sweep_finish\",\"t\":" << jsonNumber(elapsed())
+         << ",\"wallSeconds\":" << jsonNumber(wallSeconds)
          << ",\"peakRssKb\":" << peakRssKb();
     if (pool) {
         line << ",\"pool\":{\"localPops\":" << pool->localPops
@@ -187,7 +139,7 @@ SweepTelemetry::sweepFinish(double wallSeconds,
              << ",\"evictions\":" << cache->evictions
              << ",\"verified\":" << cache->verified << "}";
     }
-    line << traceSuffix() << "}";
+    line << "}";
     emitLine(line.str());
 }
 

@@ -42,14 +42,6 @@ class SweepTelemetry
     SweepTelemetry &operator=(const SweepTelemetry &) = delete;
 
     /**
-     * Attach a request-scoped trace ID: every subsequent event line
-     * carries a `"traceId"` member, joining the stream to the sweepd
-     * request (status.json, access log) that produced it. Call before
-     * the first event; empty clears it.
-     */
-    void setTraceId(const std::string &traceId);
-
-    /**
      * Emit the sweep_start event. `metaJson`, when non-empty, is a
      * complete JSON value (smartref::metaJson()) embedded verbatim so
      * the stream is attributable to a build.
@@ -88,8 +80,6 @@ class SweepTelemetry
     void emitLine(const std::string &line);
     /** Seconds since construction (the stream's time base). */
     double elapsed() const;
-    /** Copy of the pre-rendered trace member (takes the lock). */
-    std::string traceSuffix();
 
     std::chrono::steady_clock::time_point start_;
     std::ofstream file_;
@@ -98,8 +88,6 @@ class SweepTelemetry
     /** From sweepStart; 0 until then (keeps eta_s null). */
     std::size_t jobCount_ = 0;
     std::size_t finished_ = 0;
-    /** Pre-rendered `,"traceId":"..."` (empty when unset); under mu_. */
-    std::string traceJson_;
 };
 
 } // namespace smartref

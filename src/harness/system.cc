@@ -55,12 +55,11 @@ System::System(const SystemConfig &cfg)
     : StatGroup("system"), cfg_(cfg)
 {
     cfg_.dram.validate();
-    // A System models exactly one channel; multi-channel configs go
-    // through the sharded runner (harness/sharded.hh), which builds one
-    // System per channel and merges.
+    // A System models exactly one channel; ShardedSystem
+    // (harness/sharded.hh) builds one per channel and merges.
     SMARTREF_ASSERT(cfg_.dram.channels == 1,
-                    "System models one channel; use runShardedConventional"
-                    " for configs with channels > 1");
+                    "System models one channel; use ShardedSystem for"
+                    " configs with channels > 1");
     dram_ = std::make_unique<DramModule>(cfg_.dram, eq_, this);
     ctrl_ = std::make_unique<MemoryController>(*dram_, eq_, cfg_.ctrl,
                                                this);

@@ -1,8 +1,11 @@
 /**
  * @file
- * Conventional-system assembly: workloads -> memory controller -> DRAM
- * module, with a selectable refresh policy. Owns the event queue and the
- * statistics tree for one simulation.
+ * One channel of a conventional system: workloads -> memory controller
+ * -> DRAM module, with a selectable refresh policy. Owns the event queue
+ * and the statistics tree of that channel. Runs go through
+ * ShardedSystem (harness/sharded.hh), which builds one System per
+ * channel; the type stays public for code that assembles or inspects a
+ * channel directly.
  */
 
 #pragma once

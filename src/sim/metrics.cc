@@ -6,6 +6,7 @@
 #include <sstream>
 #include <vector>
 
+#include "sim/json_writer.hh"
 #include "sim/provenance.hh"
 
 namespace smartref {
@@ -25,43 +26,6 @@ num(double v)
     if (ec != std::errc())
         return "0";
     return std::string(buf, ptr);
-}
-
-/** JSON string escaping for metric names (same policy as provenance). */
-std::string
-escaped(std::string_view s)
-{
-    std::string out;
-    out.reserve(s.size());
-    for (char ch : s) {
-        switch (ch) {
-          case '"': out += "\\\""; break;
-          case '\\': out += "\\\\"; break;
-          case '\n': out += "\\n"; break;
-          case '\t': out += "\\t"; break;
-          case '\r': out += "\\r"; break;
-          default:
-            if (static_cast<unsigned char>(ch) < 0x20)
-                out += ' ';
-            else
-                out += ch;
-        }
-    }
-    return out;
-}
-
-/** "result_cache.miss_absent" -> "smartref_result_cache_miss_absent". */
-std::string
-promName(const std::string &name)
-{
-    std::string out = "smartref_";
-    for (char ch : name) {
-        const bool ok = (ch >= 'a' && ch <= 'z') ||
-                        (ch >= 'A' && ch <= 'Z') ||
-                        (ch >= '0' && ch <= '9') || ch == '_' || ch == ':';
-        out += ok ? ch : '_';
-    }
-    return out;
 }
 
 } // namespace
@@ -212,21 +176,21 @@ MetricsRegistry::writeJson(std::ostream &os) const
     os << ",\"counters\":{";
     bool first = true;
     for (const auto &[name, c] : counters_) {
-        os << (first ? "" : ",") << "\"" << escaped(name)
-           << "\":" << c->value();
+        os << (first ? "" : ",") << jsonQuoted(name) << ":"
+           << c->value();
         first = false;
     }
     os << "},\"gauges\":{";
     first = true;
     for (const auto &[name, g] : gauges_) {
-        os << (first ? "" : ",") << "\"" << escaped(name)
-           << "\":" << num(g->value());
+        os << (first ? "" : ",") << jsonQuoted(name) << ":"
+           << num(g->value());
         first = false;
     }
     os << "},\"histograms\":{";
     first = true;
     for (const auto &[name, h] : histograms_) {
-        os << (first ? "" : ",") << "\"" << escaped(name) << "\":{"
+        os << (first ? "" : ",") << jsonQuoted(name) << ":{"
            << "\"count\":" << h->count() << ",\"sum\":" << h->sum()
            << ",\"min\":" << h->min() << ",\"max\":" << h->max()
            << ",\"p50\":" << num(h->quantile(0.50))
@@ -243,39 +207,6 @@ MetricsRegistry::snapshotJson() const
     std::ostringstream os;
     writeJson(os);
     return os.str();
-}
-
-void
-MetricsRegistry::writePrometheus(std::ostream &os) const
-{
-    std::lock_guard<std::mutex> lock(mu_);
-    for (const auto &[name, c] : counters_) {
-        const std::string p = promName(name);
-        os << "# TYPE " << p << " counter\n"
-           << p << " " << c->value() << "\n";
-    }
-    for (const auto &[name, g] : gauges_) {
-        const std::string p = promName(name);
-        os << "# TYPE " << p << " gauge\n"
-           << p << " " << num(g->value()) << "\n";
-    }
-    for (const auto &[name, h] : histograms_) {
-        const std::string p = promName(name);
-        os << "# TYPE " << p << " histogram\n";
-        std::uint64_t cum = 0;
-        for (int k = 0; k < MetricHistogram::kBuckets; ++k) {
-            const std::uint64_t b = h->bucketCount(k);
-            if (b == 0)
-                continue;
-            cum += b;
-            // Bucket k holds samples < 2^k (bit_width(v) == k).
-            os << p << "_bucket{le=\"" << num(std::ldexp(1.0, k)) << "\"} "
-               << cum << "\n";
-        }
-        os << p << "_bucket{le=\"+Inf\"} " << h->count() << "\n"
-           << p << "_sum " << h->sum() << "\n"
-           << p << "_count " << h->count() << "\n";
-    }
 }
 
 void

@@ -1,16 +1,14 @@
 /**
  * @file
- * Service-layer metrics: a process-wide registry of named counters,
- * gauges and log2-bucketed histograms with lock-free atomic updates.
+ * Process metrics: a process-wide registry of named counters, gauges
+ * and log2-bucketed histograms with lock-free atomic updates.
  *
  * Where the tracer (sim/tracer.hh) answers "what happened inside one
  * simulated run" and the sweep telemetry answers "how is this sweep
- * progressing", the metrics registry answers the serving-layer
+ * progressing", the metrics registry answers the process-wide
  * question: cumulative cache hit rates, thread-pool utilization and
- * per-request wall distributions across *every* run this process has
- * executed. smartref_sweepd snapshots it into `daemon/health.json`
- * and a Prometheus text exposition; smartref_sweep dumps it via
- * `--metrics-out`.
+ * per-job wall distributions across *every* run this process has
+ * executed. smartref_sweep dumps it via `--metrics-out`.
  *
  * Contract mirrored from `peakRssBytes` and the phase profiler: every
  * metrics output is a non-deterministic sidecar and must never be
@@ -169,16 +167,9 @@ class MetricsRegistry
     std::string snapshotJson() const;
 
     /**
-     * Prometheus text exposition (version 0.0.4): names prefixed
-     * "smartref_" with dots mapped to underscores; histograms emit
-     * cumulative `_bucket{le="2^k"}` series plus `_sum`/`_count`.
-     */
-    void writePrometheus(std::ostream &os) const;
-
-    /**
      * Zero every instrument in place (handles stay valid) and restart
-     * the uptime clock. Test-only: the serving stack assumes counters
-     * are cumulative.
+     * the uptime clock. Test-only: snapshots assume counters are
+     * cumulative.
      */
     void reset();
 

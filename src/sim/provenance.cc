@@ -7,36 +7,10 @@
 #include <sys/resource.h>
 #endif
 
+#include "sim/json_writer.hh"
 #include "sim/provenance_info.hh"
 
 namespace smartref {
-
-namespace {
-
-/** Minimal JSON string escaping for build/config strings. */
-std::string
-escaped(std::string_view s)
-{
-    std::string out;
-    out.reserve(s.size());
-    for (char ch : s) {
-        switch (ch) {
-          case '"': out += "\\\""; break;
-          case '\\': out += "\\\\"; break;
-          case '\n': out += "\\n"; break;
-          case '\t': out += "\\t"; break;
-          case '\r': out += "\\r"; break;
-          default:
-            if (static_cast<unsigned char>(ch) < 0x20)
-                out += ' ';
-            else
-                out += ch;
-        }
-    }
-    return out;
-}
-
-} // namespace
 
 const BuildInfo &
 buildInfo()
@@ -100,21 +74,19 @@ void
 writeMetaJson(std::ostream &os, const RunMeta &run)
 {
     const BuildInfo &b = buildInfo();
-    os << "{\"schemaVersion\":\"" << escaped(run.schema) << "\""
-       << ",\"gitSha\":\"" << escaped(b.gitSha) << "\""
-       << ",\"compiler\":\"" << escaped(b.compiler) << "\""
-       << ",\"compilerFlags\":\"" << escaped(b.compilerFlags) << "\""
-       << ",\"buildType\":\"" << escaped(b.buildType) << "\"";
+    os << "{\"schemaVersion\":" << jsonQuoted(run.schema)
+       << ",\"gitSha\":" << jsonQuoted(b.gitSha)
+       << ",\"compiler\":" << jsonQuoted(b.compiler)
+       << ",\"compilerFlags\":" << jsonQuoted(b.compilerFlags)
+       << ",\"buildType\":" << jsonQuoted(b.buildType);
     if (!run.configHash.empty())
-        os << ",\"configHash\":\"" << escaped(run.configHash) << "\"";
+        os << ",\"configHash\":" << jsonQuoted(run.configHash);
     if (!run.seedMode.empty())
-        os << ",\"seedMode\":\"" << escaped(run.seedMode) << "\"";
+        os << ",\"seedMode\":" << jsonQuoted(run.seedMode);
     if (run.peakRssBytes)
         os << ",\"peakRssBytes\":" << run.peakRssBytes;
     if (run.bytesPerSimulatedRow > 0.0)
         os << ",\"bytesPerSimulatedRow\":" << run.bytesPerSimulatedRow;
-    if (!run.traceId.empty())
-        os << ",\"traceId\":\"" << escaped(run.traceId) << "\"";
     os << "}";
 }
 

@@ -82,15 +82,6 @@ struct RunMeta
      * can flag memory regressions between runs.
      */
     double bytesPerSimulatedRow = 0.0;
-
-    /**
-     * Request-scoped trace ID (sweepd requests, ad-hoc runs). Joins an
-     * artifact back to the request that produced it across status.json,
-     * the access log and telemetry. Request- (not build-) dependent, so
-     * like peakRssBytes it may only appear on non-deterministic
-     * sidecars — never on aggregates under the byte-identity contract.
-     */
-    std::string traceId;
 };
 
 /**

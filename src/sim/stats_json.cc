@@ -5,34 +5,16 @@
 #include <limits>
 #include <ostream>
 
+#include "sim/json_writer.hh"
 #include "sim/logging.hh"
 
 namespace smartref {
 
 namespace {
 
-void
-jsonEscape(std::ostream &os, const std::string &s)
-{
-    for (char ch : s) {
-        switch (ch) {
-          case '"': os << "\\\""; break;
-          case '\\': os << "\\\\"; break;
-          case '\n': os << "\\n"; break;
-          case '\t': os << "\\t"; break;
-          case '\r': os << "\\r"; break;
-          default:
-            if (static_cast<unsigned char>(ch) < 0x20)
-                os << ' '; // control characters never appear in descs
-            else
-                os << ch;
-        }
-    }
-}
-
 /** JSON has no NaN/Infinity literals; emit null for non-finite values. */
 void
-jsonNumber(std::ostream &os, double v)
+writeNumber(std::ostream &os, double v)
 {
     if (std::isfinite(v))
         os << v;
@@ -44,9 +26,7 @@ void
 writeStat(std::ostream &os, const std::string &fullName,
           const StatBase &stat)
 {
-    os << "    \"";
-    jsonEscape(os, fullName);
-    os << "\": {";
+    os << "    " << jsonQuoted(fullName) << ": {";
 
     auto field = [&os, first = true](const char *key) mutable
         -> std::ostream & {
@@ -59,35 +39,33 @@ writeStat(std::ostream &os, const std::string &fullName,
 
     if (const auto *s = dynamic_cast<const Scalar *>(&stat)) {
         field("kind") << "\"scalar\"";
-        jsonNumber(field("value"), s->value());
+        writeNumber(field("value"), s->value());
     } else if (const auto *v = dynamic_cast<const VectorStat *>(&stat)) {
         field("kind") << "\"vector\"";
         field("labels") << "[";
         for (std::size_t i = 0; i < v->size(); ++i) {
-            os << (i ? ", " : "") << "\"";
-            jsonEscape(os, v->label(i));
-            os << "\"";
+            os << (i ? ", " : "") << jsonQuoted(v->label(i));
         }
         os << "]";
         field("values") << "[";
         for (std::size_t i = 0; i < v->size(); ++i) {
             os << (i ? ", " : "");
-            jsonNumber(os, v->at(i));
+            writeNumber(os, v->at(i));
         }
         os << "]";
-        jsonNumber(field("total"), v->total());
+        writeNumber(field("total"), v->total());
     } else if (const auto *h = dynamic_cast<const Histogram *>(&stat)) {
         field("kind") << "\"histogram\"";
         field("samples") << h->samples();
-        jsonNumber(field("mean"), h->mean());
-        jsonNumber(field("stddev"), h->stddev());
-        jsonNumber(field("min"), h->min());
-        jsonNumber(field("max"), h->max());
-        jsonNumber(field("lo"), h->bucketLo());
-        jsonNumber(field("hi"), h->bucketHi());
-        jsonNumber(field("p50"), h->percentile(0.50));
-        jsonNumber(field("p95"), h->percentile(0.95));
-        jsonNumber(field("p99"), h->percentile(0.99));
+        writeNumber(field("mean"), h->mean());
+        writeNumber(field("stddev"), h->stddev());
+        writeNumber(field("min"), h->min());
+        writeNumber(field("max"), h->max());
+        writeNumber(field("lo"), h->bucketLo());
+        writeNumber(field("hi"), h->bucketHi());
+        writeNumber(field("p50"), h->percentile(0.50));
+        writeNumber(field("p95"), h->percentile(0.95));
+        writeNumber(field("p99"), h->percentile(0.99));
         field("underflows") << h->underflows();
         field("overflows") << h->overflows();
         field("buckets") << "[";
@@ -96,16 +74,13 @@ writeStat(std::ostream &os, const std::string &fullName,
         os << "]";
     } else if (const auto *f = dynamic_cast<const Formula *>(&stat)) {
         field("kind") << "\"formula\"";
-        jsonNumber(field("value"), f->value());
+        writeNumber(field("value"), f->value());
     } else {
         SMARTREF_PANIC("unknown stat kind for '", fullName, "'");
     }
 
-    if (!stat.desc().empty()) {
-        field("desc") << "\"";
-        jsonEscape(os, stat.desc());
-        os << "\"";
-    }
+    if (!stat.desc().empty())
+        field("desc") << jsonQuoted(stat.desc());
     os << "}";
 }
 
@@ -149,9 +124,7 @@ writeStatsJson(const StatGroup &root, std::ostream &os,
                const std::string &extraMembers)
 {
     os.precision(std::numeric_limits<double>::max_digits10);
-    os << "{\n  \"root\": \"";
-    jsonEscape(os, root.statName());
-    os << "\",\n";
+    os << "{\n  \"root\": " << jsonQuoted(root.statName()) << ",\n";
     if (!metaJson.empty())
         os << "  \"meta\": " << metaJson << ",\n";
     if (!extraMembers.empty())

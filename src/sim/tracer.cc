@@ -5,6 +5,7 @@
 #include <ostream>
 #include <sstream>
 
+#include "sim/json_writer.hh"
 #include "sim/logging.hh"
 #include "sim/suggest.hh"
 
@@ -73,29 +74,6 @@ openTraceFile(const std::string &path)
     return out;
 }
 
-/** Escape a string for inclusion in a JSON string literal. */
-void
-jsonEscape(std::ostream &os, const char *s)
-{
-    for (; *s; ++s) {
-        switch (*s) {
-          case '"': os << "\\\""; break;
-          case '\\': os << "\\\\"; break;
-          case '\n': os << "\\n"; break;
-          case '\t': os << "\\t"; break;
-          case '\r': os << "\\r"; break;
-          default:
-            if (static_cast<unsigned char>(*s) < 0x20) {
-                os << "\\u" << std::hex << std::setw(4)
-                   << std::setfill('0') << int(*s) << std::dec
-                   << std::setfill(' ');
-            } else {
-                os << *s;
-            }
-        }
-    }
-}
-
 /** Ticks (ps) to the microseconds Chrome's `ts`/`dur` fields expect. */
 double
 toMicros(Tick t)
@@ -128,9 +106,8 @@ ChromeTraceSink::write(const TraceEvent &ev)
     os << (first_ ? "\n" : ",\n");
     first_ = false;
 
-    os << "{\"name\":\"";
-    jsonEscape(os, ev.name);
-    os << "\",\"cat\":\"" << toString(ev.cat) << "\",\"ph\":\""
+    os << "{\"name\":" << jsonQuoted(ev.name)
+       << ",\"cat\":\"" << toString(ev.cat) << "\",\"ph\":\""
        << static_cast<char>(ev.phase) << "\"";
     os << ",\"ts\":" << std::setprecision(15) << toMicros(ev.tick);
     if (ev.phase == TracePhase::Span)
@@ -157,11 +134,8 @@ ChromeTraceSink::write(const TraceEvent &ev)
             arg("row") << ev.row;
         if (ev.value != 0.0)
             arg("value") << std::setprecision(15) << ev.value;
-        if (ev.detail) {
-            arg("detail") << "\"";
-            jsonEscape(os, ev.detail);
-            os << "\"";
-        }
+        if (ev.detail)
+            arg("detail") << jsonQuoted(ev.detail);
     }
     os << "}}";
 }

@@ -1,6 +1,6 @@
 /**
  * @file
- * Smoke tests for the experiment pipeline the bench binaries build on:
+ * Smoke tests for the experiment pipeline the sweep builds on:
  * full-size configurations with shortened windows, checking that the
  * calibration anchors hold end-to-end.
  */
@@ -38,8 +38,9 @@ TEST(ExperimentRunner, ConventionalBaselineAnchor)
 
 TEST(ExperimentRunner, ConventionalComparisonHitsCalibration)
 {
-    const ComparisonResult c = compareConventional(
-        findProfile("fasta"), ddr2_2GB(), quickOpts());
+    const ComparisonResult c =
+        comparePolicy(findProfile("fasta"), ddr2_2GB(), PolicyKind::Smart,
+                      /*threeD=*/false, quickOpts());
     // fasta's calibration target is a 26 % reduction.
     EXPECT_NEAR(c.refreshReduction(), 0.26, 0.05);
     EXPECT_GT(c.refreshEnergySaving(), 0.10);
@@ -59,7 +60,8 @@ TEST(ExperimentRunner, ThreeDBaselineAnchor)
 TEST(ExperimentRunner, ThreeDComparisonHitsCalibration)
 {
     const ComparisonResult c =
-        compareThreeD(findProfile("mummer"), dram3d_64MB(), quickOpts());
+        comparePolicy(findProfile("mummer"), dram3d_64MB(),
+                      PolicyKind::Smart, /*threeD=*/true, quickOpts());
     // mummer's 3D calibration target is a 42 % reduction.
     EXPECT_NEAR(c.refreshReduction(), 0.42, 0.06);
     EXPECT_EQ(c.smart.violations, 0u);

@@ -1,6 +1,6 @@
 /**
  * @file
- * Service-layer metrics registry tests. Three contracts dominate:
+ * Metrics registry tests. Three contracts dominate:
  *
  *  - concurrency: counters and histograms hammered from N pool
  *    threads land exactly — no lost updates, exact totals, and
@@ -260,32 +260,6 @@ TEST(MetricsSnapshot, JsonSchemaAndValues)
     EXPECT_EQ(h.at("max").number, 20.0);
     EXPECT_GE(h.at("p50").number, 10.0);
     EXPECT_LE(h.at("p99").number, 20.0);
-}
-
-TEST(MetricsSnapshot, PrometheusExposition)
-{
-    MetricsRegistry reg;
-    reg.counter("result_cache.hits").add(5);
-    reg.gauge("thread_pool.queue_depth").set(1.0);
-    reg.histogram("sweep.job_wall_us").observe(100);
-
-    std::ostringstream os;
-    reg.writePrometheus(os);
-    const std::string text = os.str();
-    EXPECT_NE(text.find("# TYPE smartref_result_cache_hits counter"),
-              std::string::npos);
-    EXPECT_NE(text.find("smartref_result_cache_hits 5"),
-              std::string::npos);
-    EXPECT_NE(text.find("smartref_thread_pool_queue_depth"),
-              std::string::npos);
-    EXPECT_NE(
-        text.find("# TYPE smartref_sweep_job_wall_us histogram"),
-        std::string::npos);
-    EXPECT_NE(text.find("smartref_sweep_job_wall_us_count 1"),
-              std::string::npos);
-    EXPECT_NE(text.find("smartref_sweep_job_wall_us_sum 100"),
-              std::string::npos);
-    EXPECT_NE(text.find("le=\"+Inf\"} 1"), std::string::npos);
 }
 
 // -------------------------------------------------- macros + switches

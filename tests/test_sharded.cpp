@@ -67,6 +67,94 @@ slurp(const std::string &path)
     return ss.str();
 }
 
+/** Everything a single-channel run reports, serialised. */
+struct ChannelOutputs
+{
+    EnergySnapshot warm;
+    EnergySnapshot end;
+    std::string heatmapJson;
+    std::string heatmapCsv;
+    std::string auditBinary;
+    std::string auditNdjson;
+    std::string ledgerJson;
+};
+
+/**
+ * A 16 ms warmup + 32 ms measurement Smart run of `benchmark` on one
+ * 2 GB channel with a heatmap, audit trail and ledger attached:
+ * through a ShardedSystem built as callers build it (default epoch),
+ * or through a System assembled by hand — the reference.
+ */
+ChannelOutputs
+runOneChannel(const std::string &benchmark, bool sharded)
+{
+    SystemConfig cfg = makeConfig("2gb", 0);
+    const DramOrganization &org = cfg.dram.org;
+    RefreshHeatmap heatmap(org.ranks, org.banks, 8, (1u << 3) - 1);
+    RefreshAudit audit(RefreshAudit::Shape{org.ranks, org.banks, org.rows});
+    EnergyLedger ledger(EnergyLedger::Shape{org.ranks, org.banks});
+    cfg.heatmap = &heatmap;
+    cfg.audit = &audit;
+    cfg.ledger = &ledger;
+    const BenchmarkProfile &profile = findProfile(benchmark);
+
+    ChannelOutputs out;
+    if (sharded) {
+        ShardedSystem sys(cfg, 1);
+        for (const auto &wp : conventionalParams(profile, cfg.dram, 1.0,
+                                                 sys.channelSeed(42, 0)))
+            sys.channel(0).addWorkload(wp);
+        sys.run(16 * kMillisecond);
+        out.warm = sys.captureMergedSnapshot();
+        sys.run(32 * kMillisecond);
+        out.end = sys.captureMergedSnapshot();
+        sys.mergeObservers();
+    } else {
+        System sys(cfg);
+        for (const auto &wp :
+             conventionalParams(profile, cfg.dram, 1.0, 42))
+            sys.addWorkload(wp);
+        sys.run(16 * kMillisecond);
+        out.warm = captureSnapshot(sys);
+        sys.run(32 * kMillisecond);
+        out.end = captureSnapshot(sys);
+    }
+
+    std::ostringstream hm, hmCsv, lj;
+    heatmap.writeJson(hm);
+    heatmap.writeCsv(hmCsv);
+    ledger.writeJson(lj, "{}");
+    out.heatmapJson = hm.str();
+    out.heatmapCsv = hmCsv.str();
+    out.ledgerJson = lj.str();
+    const std::string base = ::testing::TempDir() + "/single_" +
+                             benchmark + (sharded ? "_sharded" : "_plain");
+    audit.writeBinary(base + ".bin");
+    audit.writeNdjson(base + ".ndjson");
+    out.auditBinary = slurp(base + ".bin");
+    out.auditNdjson = slurp(base + ".ndjson");
+    return out;
+}
+
+void
+expectSameSnapshot(const EnergySnapshot &a, const EnergySnapshot &b)
+{
+    EXPECT_EQ(a.tick, b.tick);
+    EXPECT_EQ(a.refreshes, b.refreshes);
+    EXPECT_EQ(a.refreshEnergy, b.refreshEnergy);
+    EXPECT_EQ(a.actEnergy, b.actEnergy);
+    EXPECT_EQ(a.readEnergy, b.readEnergy);
+    EXPECT_EQ(a.writeEnergy, b.writeEnergy);
+    EXPECT_EQ(a.backgroundEnergy, b.backgroundEnergy);
+    EXPECT_EQ(a.overheadEnergy, b.overheadEnergy);
+    EXPECT_EQ(a.demandAccesses, b.demandAccesses);
+    EXPECT_EQ(a.latencySumTicks, b.latencySumTicks);
+    EXPECT_EQ(a.violations, b.violations);
+    EXPECT_EQ(a.demandBlockedTicks, b.demandBlockedTicks);
+    EXPECT_EQ(a.refreshStallsAvoided, b.refreshStallsAvoided);
+    EXPECT_EQ(a.subarrayConflicts, b.subarrayConflicts);
+}
+
 } // namespace
 
 TEST(ShardChannelSeed, DeterministicAndDistinct)
@@ -85,33 +173,26 @@ TEST(ShardChannelSeed, DeterministicAndDistinct)
 
 TEST(ShardedSystem, SingleChannelMatchesPlainSystem)
 {
-    const SystemConfig cfg = makeConfig("2gb", 0);
-    ASSERT_EQ(cfg.dram.channels, 1u);
-
-    ShardedSystem sharded(cfg, 1);
-    addChannelWorkloads(sharded, cfg.dram, 42);
-    sharded.run(6 * kMillisecond);
-    const EnergySnapshot a = sharded.captureMergedSnapshot();
-
-    System plain(cfg);
-    const BenchmarkProfile &profile = findProfile("mummer");
-    for (const auto &wp : conventionalParams(profile, cfg.dram, 1.0,
-                                             shardChannelSeed(42, 0)))
-        plain.addWorkload(wp);
-    plain.run(6 * kMillisecond);
-    const EnergySnapshot b = captureSnapshot(plain);
-
-    EXPECT_EQ(a.tick, b.tick);
-    EXPECT_EQ(a.refreshes, b.refreshes);
-    EXPECT_EQ(a.demandAccesses, b.demandAccesses);
-    EXPECT_EQ(a.violations, b.violations);
-    EXPECT_EQ(a.refreshEnergy, b.refreshEnergy);
-    EXPECT_EQ(a.actEnergy, b.actEnergy);
-    EXPECT_EQ(a.readEnergy, b.readEnergy);
-    EXPECT_EQ(a.writeEnergy, b.writeEnergy);
-    EXPECT_EQ(a.backgroundEnergy, b.backgroundEnergy);
-    EXPECT_EQ(a.latencySumTicks, b.latencySumTicks);
-    EXPECT_EQ(a.demandBlockedTicks, b.demandBlockedTicks);
+    // Every conventional run goes through a ShardedSystem, so one
+    // channel must reproduce a hand-assembled System byte for byte,
+    // with windows longer than a lock-step epoch and every observer
+    // attached. That pins the one-slice rule: cutting a window into
+    // epochs moves the last bits of the integrated background energy.
+    for (const char *benchmark : {"mummer", "gcc"}) {
+        SCOPED_TRACE(benchmark);
+        const ChannelOutputs a = runOneChannel(benchmark, true);
+        const ChannelOutputs b = runOneChannel(benchmark, false);
+        expectSameSnapshot(a.warm, b.warm);
+        expectSameSnapshot(a.end, b.end);
+#ifndef SMARTREF_AUDIT_DISABLED
+        EXPECT_FALSE(b.auditNdjson.empty());
+#endif
+        EXPECT_EQ(a.heatmapJson, b.heatmapJson);
+        EXPECT_EQ(a.heatmapCsv, b.heatmapCsv);
+        EXPECT_EQ(a.auditBinary, b.auditBinary);
+        EXPECT_EQ(a.auditNdjson, b.auditNdjson);
+        EXPECT_EQ(a.ledgerJson, b.ledgerJson);
+    }
 }
 
 TEST(ShardedSystem, EpochSlicingDoesNotChangeResults)

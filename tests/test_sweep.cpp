@@ -11,6 +11,7 @@
 #include <sstream>
 
 #include "harness/sweep.hh"
+#include "harness/sweep_telemetry.hh"
 #include "sim/mini_json.hh"
 
 using namespace smartref;
@@ -340,6 +341,50 @@ TEST(SweepJson, AggregateParsesAndCarriesAnchors)
     ASSERT_EQ(summary.array.size(), 4u); // 2 configs x 2 bit widths
     EXPECT_EQ(summary.at(0).at("jobs").number, 2.0);
     EXPECT_EQ(root.at("totalViolations").number, 0.0);
+}
+
+TEST(SweepJson, ControlBytesInGridNameStayValidJson)
+{
+    // A grid file is outside input, so its name may carry any byte.
+    // Every artifact that echoes it must escape control bytes (a raw
+    // 0x01 is invalid JSON) and parse back to the same name.
+    const SweepGrid grid = parseSweepGrid(
+        R"({"name": "a\u0001q\"b\\c\td", "configs": ["2gb"],
+            "benchmarks": ["mummer"]})");
+    ASSERT_EQ(grid.name, std::string("a\x01q\"b\\c\td"));
+    const SweepRunOptions opts = fastOptions(1);
+    const std::vector<SweepJobResult> none;
+
+    std::ostringstream sweepJson, timingJson, telemetryLines;
+    writeSweepJson(grid, opts, none, sweepJson);
+    writeSweepTimingJson(grid, opts, none, 1.5, timingJson);
+    {
+        SweepTelemetry telemetry(telemetryLines);
+        telemetry.sweepStart(grid.name, 0, 1, "{}");
+        telemetry.sweepFinish(1.5, nullptr);
+    }
+
+    // Each artifact is newline-terminated JSON lines: parse every line.
+    const auto lines = [](const std::string &text) {
+        std::vector<minijson::Value> out;
+        std::istringstream in(text);
+        std::string line;
+        while (std::getline(in, line)) {
+            for (char c : line)
+                EXPECT_GE(static_cast<unsigned char>(c), 0x20) << line;
+            out.push_back(minijson::parse(line));
+        }
+        return out;
+    };
+    const auto sweep = lines(sweepJson.str());
+    ASSERT_EQ(sweep.size(), 1u);
+    EXPECT_EQ(sweep[0].at("grid").at("name").str, grid.name);
+    const auto timing = lines(timingJson.str());
+    ASSERT_EQ(timing.size(), 1u);
+    EXPECT_EQ(timing[0].at("grid").str, grid.name);
+    const auto telemetry = lines(telemetryLines.str());
+    ASSERT_EQ(telemetry.size(), 2u);
+    EXPECT_EQ(telemetry[0].at("grid").str, grid.name);
 }
 
 TEST(SweepJob, RetentionOverrideScalesBaselineRate)

@@ -3,8 +3,8 @@
  * smartref_inspect — query refresh-audit trails and energy ledgers.
  *
  * Takes the artifacts the simulator emits (`--audit-out` binary audit
- * trails, `--ledger-out` ledger JSON, sweep result-cache entry blobs,
- * `--metrics-out` snapshots and sweepd `health.json`) and answers the
+ * trails, `--ledger-out` ledger JSON, sweep result-cache entry blobs
+ * and `--metrics-out` snapshots) and answers the
  * questions a debugging session actually asks: which outcomes
  * dominate, which rows are hot, what happened in this time window, and
  * how do two runs differ. File types are auto-detected (binary
@@ -23,8 +23,7 @@
  *
  * With two files of the same kind the tool diffs them: per-outcome
  * counts for audits, component totals for ledgers, counter deltas and
- * rates for metrics snapshots (health.json diffs its embedded
- * snapshot).
+ * rates for metrics snapshots.
  *
  * Exit codes: 0 = done (diff: equal), 1 = diff found differences,
  *             2 = usage or I/O error.
@@ -190,23 +189,6 @@ isMetricsSnapshot(const minijson::Value &root)
 {
     return root.has("schema") &&
            root.at("schema").str == "smartref-metrics-v1";
-}
-
-bool
-isHealthFile(const minijson::Value &root)
-{
-    return root.has("schema") &&
-           root.at("schema").str == "smartref-sweepd-health-v1";
-}
-
-/**
- * The metrics snapshot of a metrics-or-health file: health.json embeds
- * one under "metrics", a --metrics-out file *is* one.
- */
-const minijson::Value &
-metricsOf(const minijson::Value &root)
-{
-    return isHealthFile(root) ? root.at("metrics") : root;
 }
 
 /** Validates that @p root is a ledger, with a pointed error if not. */
@@ -656,38 +638,6 @@ inspectMetrics(const minijson::Value &m)
     }
 }
 
-/** Queue depths and liveness of one sweepd health.json. */
-void
-inspectHealth(const minijson::Value &root)
-{
-    const minijson::Value &q = root.at("queue");
-    std::cout << "sweepd health: pid "
-              << static_cast<long>(root.at("pid").number) << ", uptime "
-              << fmtDouble(root.at("uptimeSeconds").number, 2) << " s\n"
-              << "processed: "
-              << static_cast<std::uint64_t>(root.at("processed").number)
-              << " request(s), "
-              << static_cast<std::uint64_t>(root.at("failures").number)
-              << " failure(s), "
-              << static_cast<std::uint64_t>(
-                     root.at("requestsInFlight").number)
-              << " in flight\n"
-              << "last poll: unix ms "
-              << static_cast<std::uint64_t>(
-                     root.at("lastPollUnixMs").number)
-              << "\n";
-    ReportTable table({"state", "requests"});
-    for (const char *state : {"incoming", "work", "done", "failed"}) {
-        table.addRow({state,
-                      std::to_string(static_cast<std::uint64_t>(
-                          q.at(state).number))});
-    }
-    std::cout << "\n=== queue ===\n";
-    table.print(std::cout);
-    std::cout << "\n";
-    inspectMetrics(root.at("metrics"));
-}
-
 /**
  * Counter deltas between two snapshots, with per-second rates when the
  * uptimes let us infer the elapsed wall (same process, B after A).
@@ -804,15 +754,12 @@ main(int argc, char **argv)
                                   loadAudit(files[1]), filters);
             const minijson::Value ja = loadJsonFile(files[0]);
             const minijson::Value jb = loadJsonFile(files[1]);
-            const bool metricsA =
-                isMetricsSnapshot(ja) || isHealthFile(ja);
-            const bool metricsB =
-                isMetricsSnapshot(jb) || isHealthFile(jb);
-            if (metricsA != metricsB)
+            const bool metricsA = isMetricsSnapshot(ja);
+            if (metricsA != isMetricsSnapshot(jb))
                 SMARTREF_FATAL("cannot diff a metrics snapshot against "
                                "a ledger");
             if (metricsA)
-                return diffMetrics(metricsOf(ja), metricsOf(jb));
+                return diffMetrics(ja, jb);
             return diffLedgers(asLedger(ja, files[0]),
                                asLedger(jb, files[1]));
         }
@@ -826,10 +773,6 @@ main(int argc, char **argv)
             inspectCacheEntry(root);
             return 0;
         }
-        if (isHealthFile(root)) {
-            inspectHealth(root);
-            return 0;
-        }
         if (isMetricsSnapshot(root)) {
             inspectMetrics(root);
             return 0;
@@ -838,7 +781,7 @@ main(int argc, char **argv)
             root.at("schema").str != "smartref-ledger-v1")
             SMARTREF_FATAL("'", files[0],
                            "' is neither an audit trail, a ledger, a "
-                           "result-cache entry, nor a metrics/health "
+                           "result-cache entry, nor a metrics "
                            "snapshot");
         inspectLedger(root, filters, top);
         return 0;

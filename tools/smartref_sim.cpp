@@ -242,7 +242,7 @@ makeSampler(const CliArgs &args, const StatGroup &root, EventQueue &eq,
  * Verify and drain the optional audit / ledger / profile artifacts.
  * The overhead lump joins the ledger here because it is an analytic
  * per-run quantity the DRAM module never sees. @p dram is null for
- * sharded multi-channel runs, whose caller has already verified every
+ * multi-channel runs, whose caller has already verified every
  * channel's ledger.
  */
 void
@@ -510,88 +510,25 @@ main(int argc, char **argv)
                           configHash);
         finishObservability(args, sys, sampler.get(), configHash,
                             cfg.heatmap, profiler.get());
-    } else if (dram.channels > 1) {
-        // Multi-channel server configs run on the per-channel sharded
-        // engine (harness/sharded.hh): one event queue per channel
-        // advanced in epoch lock-step on up to -j N workers, with
+    } else {
+        // Every conventional config runs on the per-channel sharded
+        // engine (harness/sharded.hh): one event queue per channel,
+        // advanced in epoch lock-step on up to -j N workers with
         // deterministic merges, so every artifact below is
-        // byte-identical for any -j value.
+        // byte-identical for any -j value. A lone channel advances in
+        // one slice per window, exactly like a plain System.
+        const bool multi = dram.channels > 1;
         for (const char *flag :
              {"trace", "trace-out", "trace-csv", "stats-out",
               "stats-json", "stats-interval-ms", "stats-interval-out",
               "interval-cols", "ledger-check", "classes"}) {
-            if (args.has(flag)) {
+            if (multi && args.has(flag)) {
                 SMARTREF_FATAL("--", flag,
                                " is not yet supported with channels"
                                " > 1 (config '", dram.name, "')");
             }
         }
 
-        SystemConfig cfg;
-        cfg.dram = dram;
-        cfg.policy = policy;
-        cfg.smart = smart;
-        cfg.ctrl.scheme =
-            schemeByName(args.getString("scheme", "row-rank-bank"));
-        std::unique_ptr<RefreshHeatmap> heatmap;
-        if (!args.heatmapOutPath().empty()) {
-            // Per-channel shape: channels overlay onto one grid.
-            heatmap = std::make_unique<RefreshHeatmap>(
-                dram.org.ranks, dram.org.banks, opts.segments,
-                (1u << opts.counterBits) - 1);
-            cfg.heatmap = heatmap.get();
-        }
-        cfg.audit = audit.get();
-        cfg.ledger = ledger.get();
-        cfg.profiler = profiler.get();
-
-        ShardedSystem sys(cfg, opts.shardJobs);
-        DramConfig chDram = dram;
-        chDram.channels = 1;
-        std::string label;
-        for (std::uint32_t c = 0; c < dram.channels; ++c) {
-            const std::uint64_t seed = shardChannelSeed(opts.seed, c);
-            if (args.has("idle")) {
-                label = "idle-os";
-                sys.channel(c).addWorkload(idleParams(chDram, seed));
-            } else if (args.has("light")) {
-                label = "light-activity";
-                sys.channel(c).addWorkload(lightParams(chDram, seed));
-            } else {
-                label = args.getString("benchmark", "mummer");
-                for (const auto &wp : conventionalParams(
-                         findProfile(label), chDram, 1.0, seed))
-                    sys.channel(c).addWorkload(wp);
-            }
-        }
-
-        sys.run(opts.warmup);
-        const EnergySnapshot warm = sys.captureMergedSnapshot();
-        sys.run(opts.measure);
-        EnergySnapshot d = sys.captureMergedSnapshot() - warm;
-        d.violations += sys.finalCheck();
-        violations = d.violations;
-        printSummary(dram.name + " / " + toString(policy) + " / " +
-                         label,
-                     d, sys.maxRefreshBacklog(), 0.0, false);
-        std::cout << "channels: " << dram.channels
-                  << ", resident counter bytes: "
-                  << sys.residentCounterBytes() << "\n";
-
-        if (args.has("check-conservation")) {
-            sys.verifyLedgers(true);
-            std::cout << "energy conservation verified on all "
-                      << dram.channels << " channels\n";
-        }
-        double overhead = 0.0;
-        for (std::uint32_t c = 0; c < dram.channels; ++c)
-            overhead += sys.channel(c).refreshPolicy().overheadEnergy();
-        sys.mergeObservers();
-        finishLedgerAudit(args, nullptr, overhead, audit.get(),
-                          ledger.get(), profiler.get(), configHash);
-        finishObservability(args, sys.channel(0), nullptr, configHash,
-                            cfg.heatmap, profiler.get());
-    } else {
         SystemConfig cfg;
         cfg.dram = dram;
         cfg.policy = policy;
@@ -607,6 +544,7 @@ main(int argc, char **argv)
         }
         std::unique_ptr<RefreshHeatmap> heatmap;
         if (!args.heatmapOutPath().empty()) {
+            // Per-channel shape: channels overlay onto one grid.
             // Retention classes widen the counters (multi-rate rows),
             // so the heatmap's value axis must widen with them.
             std::uint32_t bits = opts.counterBits;
@@ -621,12 +559,15 @@ main(int argc, char **argv)
         cfg.audit = audit.get();
         cfg.ledger = ledger.get();
         cfg.profiler = profiler.get();
-        System sys(cfg);
-        auto sampler = makeSampler(args, sys, sys.eventQueue(),
-                                   sys.controller(), sys.dram(),
-                                   sys.smartPolicy());
+
+        ShardedSystem sys(cfg, opts.shardJobs);
+        System &ch0 = sys.channel(0);
+        auto sampler = makeSampler(args, ch0, ch0.eventQueue(),
+                                   ch0.controller(), ch0.dram(),
+                                   ch0.smartPolicy());
 
         std::string label;
+        EnergySnapshot d;
         if (!tracePath.empty()) {
             label = "trace:" + tracePath;
             // Trace-driven: inject records as simulated time advances.
@@ -639,53 +580,62 @@ main(int argc, char **argv)
                     sys.run(rec.tick - last);
                     last = rec.tick;
                 }
-                sys.controller().access(rec.addr, rec.write);
+                ch0.controller().access(rec.addr, rec.write);
             }
             sys.run(opts.measure);
-            EnergySnapshot d = captureSnapshot(sys);
-            d.violations += sys.dram().retention().finalCheck(
-                sys.eventQueue().now());
-            violations = d.violations;
-            printSummary(dram.name + " / " + toString(policy) + " / " +
-                             label,
-                         d, sys.controller().maxRefreshBacklog(), 0.0,
-                         false);
+            d = sys.captureMergedSnapshot();
         } else {
-            if (args.has("idle")) {
-                label = "idle-os";
-                sys.addWorkload(idleParams(dram, opts.seed));
-            } else if (args.has("light")) {
-                label = "light-activity";
-                sys.addWorkload(lightParams(dram, opts.seed));
-            } else {
-                label = args.getString("benchmark", "mummer");
-                for (const auto &wp : conventionalParams(
-                         findProfile(label), dram, 1.0, opts.seed))
-                    sys.addWorkload(wp);
+            DramConfig chDram = dram;
+            chDram.channels = 1;
+            for (std::uint32_t c = 0; c < dram.channels; ++c) {
+                const std::uint64_t seed = sys.channelSeed(opts.seed, c);
+                if (args.has("idle")) {
+                    label = "idle-os";
+                    sys.channel(c).addWorkload(idleParams(chDram, seed));
+                } else if (args.has("light")) {
+                    label = "light-activity";
+                    sys.channel(c).addWorkload(lightParams(chDram, seed));
+                } else {
+                    label = args.getString("benchmark", "mummer");
+                    for (const auto &wp : conventionalParams(
+                             findProfile(label), chDram, 1.0, seed))
+                        sys.channel(c).addWorkload(wp);
+                }
             }
             sys.run(opts.warmup);
-            const EnergySnapshot warm = captureSnapshot(sys);
+            const EnergySnapshot warm = sys.captureMergedSnapshot();
             sys.run(opts.measure);
-            EnergySnapshot d = captureSnapshot(sys) - warm;
-            d.violations += sys.dram().retention().finalCheck(
-                sys.eventQueue().now());
-            violations = d.violations;
-            printSummary(dram.name + " / " + toString(policy) + " / " +
-                             label,
-                         d, sys.controller().maxRefreshBacklog(), 0.0,
-                         false);
+            d = sys.captureMergedSnapshot() - warm;
+        }
+        d.violations += sys.finalCheck();
+        violations = d.violations;
+        printSummary(dram.name + " / " + toString(policy) + " / " +
+                         label,
+                     d, sys.maxRefreshBacklog(), 0.0, false);
+        if (multi) {
+            std::cout << "channels: " << dram.channels
+                      << ", resident counter bytes: "
+                      << sys.residentCounterBytes() << "\n";
+            if (args.has("check-conservation")) {
+                sys.verifyLedgers(true);
+                std::cout << "energy conservation verified on all "
+                          << dram.channels << " channels\n";
+            }
         }
         if (!statsOut.empty()) {
             std::ofstream out(statsOut);
-            sys.dumpStats(out);
+            ch0.dumpStats(out);
             std::cout << "full statistics written to " << statsOut
                       << "\n";
         }
-        finishLedgerAudit(args, &sys.dram(),
-                          sys.refreshPolicy().overheadEnergy(),
+        double overhead = 0.0;
+        for (std::uint32_t c = 0; c < dram.channels; ++c)
+            overhead += sys.channel(c).refreshPolicy().overheadEnergy();
+        sys.mergeObservers();
+        finishLedgerAudit(args, multi ? nullptr : &ch0.dram(), overhead,
                           audit.get(), ledger.get(), profiler.get(),
                           configHash);
-        finishObservability(args, sys, sampler.get(), configHash,
+        finishObservability(args, ch0, sampler.get(), configHash,
                             cfg.heatmap, profiler.get());
     }
 

@@ -70,7 +70,7 @@ constexpr const char *kUsage = R"(usage:
                                        bit-identical
                  [--cache-max-mb N]    LRU-prune the cache to N MB
                                        after the sweep
-                 [--metrics-out FILE]  service-layer metrics snapshot
+                 [--metrics-out FILE]  metrics-registry snapshot
                                        JSON (not deterministic)
                  [--no-metrics]        disable metrics updates (the
                                        overhead-measurement baseline)
@@ -132,50 +132,6 @@ resolveGrid(const CliArgs &args)
             SMARTREF_FATAL("--parallelism needs at least one mode");
     }
     return grid;
-}
-
-/**
- * Wall-clock timing sidecar for CI benchmarking. Deliberately a
- * separate file: the aggregate JSON must stay byte-identical across
- * runs, and timing never is.
- */
-void
-writeTiming(const std::string &path, const SweepGrid &grid,
-            const SweepRunOptions &opts, double wallSeconds,
-            const std::vector<SweepJobResult> &results,
-            const ResultCache *cache)
-{
-    double jobSeconds = 0.0;
-    for (const auto &r : results)
-        jobSeconds += r.wallSeconds;
-    std::ofstream out(path);
-    if (!out)
-        SMARTREF_FATAL("cannot write timing JSON '", path, "'");
-    RunMeta meta;
-    meta.schema = "smartref-sweep-timing-v1";
-    meta.configHash = sweepConfigHash(grid, opts);
-    // The timing sidecar is already host-dependent, so it is the one
-    // sweep artifact allowed to carry the process peak RSS.
-    meta.peakRssBytes = currentPeakRssBytes();
-    out << "{\"meta\":" << metaJson(meta) << ",\"grid\":\"" << grid.name
-        << "\",\"jobs\":" << opts.jobs
-        << ",\"jobCount\":" << results.size()
-        << ",\"wallSeconds\":" << wallSeconds
-        << ",\"cpuJobSeconds\":" << jobSeconds
-        << ",\"parallelEfficiency\":"
-        << (wallSeconds > 0.0 && opts.jobs > 0
-                ? jobSeconds / (wallSeconds * opts.jobs)
-                : 0.0);
-    if (cache) {
-        const ResultCacheStats cs = cache->stats();
-        out << ",\"cache\":{\"hits\":" << cs.hits
-            << ",\"misses\":" << cs.misses
-            << ",\"corrupt\":" << cs.corrupt
-            << ",\"stores\":" << cs.stores
-            << ",\"evictions\":" << cs.evictions
-            << ",\"verified\":" << cs.verified << "}";
-    }
-    out << "}\n";
 }
 
 } // namespace
@@ -324,9 +280,13 @@ main(int argc, char **argv)
         std::cerr << std::endl;
     }
 
-    if (args.has("timing"))
-        writeTiming(args.getString("timing"), grid, opts, wallSeconds,
-                    results, cache.get());
+    if (args.has("timing")) {
+        const std::string path = args.getString("timing");
+        std::ofstream out(path);
+        if (!out)
+            SMARTREF_FATAL("cannot write timing JSON '", path, "'");
+        writeSweepTimingJson(grid, opts, results, wallSeconds, out);
+    }
 
     if (args.has("metrics-out")) {
         // Like --timing, a non-deterministic sidecar: never part of
