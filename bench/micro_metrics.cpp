@@ -13,7 +13,7 @@
  *    plus the min/max CAS loops),
  *  - macro_site_enabled: SMARTREF_METRIC_INC with metrics enabled,
  *  - macro_site_disabled: the same site behind the runtime kill
- *    switch (or compiled out entirely under -DSMARTREF_METRICS=OFF),
+ *    switch,
  *  - end_to_end: a tiny in-process sweep with metrics enabled vs
  *    disabled; overhead_ratio is the headline the 3% CI gate reads.
  *
@@ -160,8 +160,6 @@ main(int argc, char **argv)
     os << "{\n"
        << "  \"bench\": \"metrics\",\n"
        << "  \"meta\": " << bench::benchMetaJson("metrics") << ",\n"
-       << "  \"compiled_in\": " << (kMetricsCompiledIn ? "true" : "false")
-       << ",\n"
        << "  \"registry\": {\n"
        << "    \"counter_add_per_sec\": " << counterAdd << ",\n"
        << "    \"histogram_observe_per_sec\": " << histObserve << "\n"

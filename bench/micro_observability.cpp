@@ -1,9 +1,8 @@
 /**
  * @file
  * Microbenchmark for the observability layer: quantifies what the audit
- * trail, energy ledger, and phase profiler cost when attached, and —
- * the number the SMARTREF_AUDIT=OFF gate cares about — what the
- * compiled-in-but-unattached record sites cost on the hot path.
+ * trail and energy ledger cost when attached, and what the unattached
+ * record sites cost on the hot path.
  *
  * Measured shapes:
  *
@@ -13,7 +12,6 @@
  *    default: one branch per refresh opportunity),
  *  - ledger_hooks: EnergyLedger onActivate/onRead/onRefresh mix at the
  *    ratio a memory-bound run produces,
- *  - profiler_scope: PhaseScope enter/leave pairs, attached and null,
  *  - end_to_end: a short conventional mummer/smart experiment with and
  *    without audit+ledger attached; the overhead ratio is the headline.
  *
@@ -33,7 +31,6 @@
 #include "ctrl/refresh_audit.hh"
 #include "dram/energy_ledger.hh"
 #include "harness/experiment.hh"
-#include "sim/phase_profiler.hh"
 
 using namespace smartref;
 
@@ -62,8 +59,7 @@ auditAppendPerSec(std::uint64_t records)
 double
 auditNullSitePerSec(std::uint64_t ops)
 {
-    // Unused when the record macro compiles out (-DSMARTREF_AUDIT=OFF).
-    [[maybe_unused]] RefreshAudit *audit = nullptr;
+    RefreshAudit *audit = nullptr;
     std::uint64_t acc = 0;
     const auto t0 = std::chrono::steady_clock::now();
     for (std::uint64_t i = 0; i < ops; ++i) {
@@ -103,20 +99,6 @@ ledgerHooksPerSec(std::uint64_t ops)
     g_sink = g_sink + ledger.cellTotals().reads;
     const double secs = std::chrono::duration<double>(t1 - t0).count();
     return static_cast<double>(ops) / secs;
-}
-
-double
-profilerScopesPerSec(PhaseProfiler *prof, std::uint64_t pairs)
-{
-    const auto t0 = std::chrono::steady_clock::now();
-    for (std::uint64_t i = 0; i < pairs; ++i) {
-        PhaseScope outer(prof, "issue");
-        PhaseScope inner(prof, "drain");
-        g_sink = g_sink + 1;
-    }
-    const auto t1 = std::chrono::steady_clock::now();
-    const double secs = std::chrono::duration<double>(t1 - t0).count();
-    return static_cast<double>(pairs) / secs;
 }
 
 /** Wall seconds for one short conventional experiment. */
@@ -179,7 +161,6 @@ main(int argc, char **argv)
     constexpr std::uint64_t kAuditRecords = 4000000; // ~61 slabs
     constexpr std::uint64_t kNullOps = 50000000;
     constexpr std::uint64_t kLedgerOps = 8000000;
-    constexpr std::uint64_t kScopePairs = 2000000;
 
     const double auditAppend =
         bestOf3([] { return auditAppendPerSec(kAuditRecords); });
@@ -187,12 +168,6 @@ main(int argc, char **argv)
         bestOf3([] { return auditNullSitePerSec(kNullOps); });
     const double ledgerHooks =
         bestOf3([] { return ledgerHooksPerSec(kLedgerOps); });
-
-    PhaseProfiler prof;
-    const double scopesAttached =
-        bestOf3([&prof] { return profilerScopesPerSec(&prof, kScopePairs); });
-    const double scopesNull =
-        bestOf3([] { return profilerScopesPerSec(nullptr, kScopePairs); });
 
     const double plainWall =
         minOf3([] { return experimentWallSecs(false); });
@@ -212,10 +187,6 @@ main(int argc, char **argv)
        << "  \"ledger\": {\n"
        << "    \"hooks_per_sec\": " << ledgerHooks << "\n"
        << "  },\n"
-       << "  \"profiler\": {\n"
-       << "    \"scope_pairs_per_sec\": " << scopesAttached << ",\n"
-       << "    \"null_scope_pairs_per_sec\": " << scopesNull << "\n"
-       << "  },\n"
        << "  \"end_to_end\": {\n"
        << "    \"plain_wall_s\": " << plainWall << ",\n"
        << "    \"observed_wall_s\": " << observedWall << ",\n"
@@ -226,8 +197,6 @@ main(int argc, char **argv)
     std::cout << "audit append/sec " << auditAppend << "\n"
               << "audit null-site ops/sec " << nullSite << "\n"
               << "ledger hooks/sec " << ledgerHooks << "\n"
-              << "profiler scope pairs/sec attached " << scopesAttached
-              << "  null " << scopesNull << "\n"
               << "end-to-end wall plain " << plainWall << " s  observed "
               << observedWall << " s  ratio " << overheadRatio << "\n"
               << "wrote " << out << "\n";

@@ -273,10 +273,8 @@ class CounterArray
             for (std::uint32_t s = 0; s < interleave_; ++s) {
                 if (heatmap_)
                     heatmap_->recordCounterTouch(s, values_[base + s]);
-#ifndef SMARTREF_AUDIT_DISABLED
                 if (audit_ && values_[base + s] != 0)
                     recordWalkSkip(std::uint64_t(s) * perSegment_ + pos);
-#endif
                 if (touchRef(values_[base + s], base + s))
                     expired(s);
             }
@@ -297,10 +295,8 @@ class CounterArray
             for (std::uint32_t s = 0; s < interleave_; ++s) {
                 if (heatmap_)
                     heatmap_->recordCounterTouch(s, base[s]);
-#ifndef SMARTREF_AUDIT_DISABLED
                 if (audit_ && base[s] != 0)
                     recordWalkSkip(std::uint64_t(s) * perSegment_ + pos);
-#endif
                 if (touchRef(base[s], physBase + s))
                     expired(s);
             }
@@ -314,12 +310,10 @@ class CounterArray
                 for (std::uint32_t s = 0; s < interleave_; ++s)
                     heatmap_->recordCounterTouch(s, v);
             }
-#ifndef SMARTREF_AUDIT_DISABLED
             if (audit_ && v != 0) {
                 for (std::uint32_t s = 0; s < interleave_; ++s)
                     recordWalkSkip(std::uint64_t(s) * perSegment_ + pos);
             }
-#endif
             if (v == 0) {
                 for (std::uint32_t s = 0; s < interleave_; ++s)
                     expired(s);

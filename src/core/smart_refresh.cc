@@ -4,7 +4,6 @@
 #include <bit>
 
 #include "sim/logging.hh"
-#include "sim/phase_profiler.hh"
 #include "sim/tracer.hh"
 
 namespace smartref {
@@ -110,7 +109,6 @@ SmartRefreshPolicy::doStep(std::uint64_t generation)
 {
     if (!countersActive_ || generation != stepGen_)
         return;
-    PhaseScope walkScope(profiler_, "walk");
     // Expired counters are emitted spread across the step interval (the
     // pending queue dispatches one refresh per sub-slot) so that a step
     // never slams all banks with simultaneous refreshes.

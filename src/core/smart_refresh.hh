@@ -43,8 +43,6 @@
 
 namespace smartref {
 
-class PhaseProfiler;
-
 /** Tunables for SmartRefreshPolicy. */
 struct SmartRefreshConfig
 {
@@ -162,10 +160,6 @@ class SmartRefreshPolicy : public RefreshPolicy
      */
     void setAudit(RefreshAudit *audit) override;
 
-    /** Attach a phase profiler (not owned, may be null): the counter
-     *  walk runs under a "walk" scope. */
-    void setProfiler(PhaseProfiler *profiler) { profiler_ = profiler; }
-
   private:
     std::uint64_t
     counterIndex(std::uint32_t rank, std::uint32_t bank,
@@ -208,7 +202,6 @@ class SmartRefreshPolicy : public RefreshPolicy
     std::uint64_t syncedReads_ = 0;
     std::uint64_t syncedWrites_ = 0;
     RefreshAudit *audit_ = nullptr;
-    PhaseProfiler *profiler_ = nullptr;
 
     Scalar smartRequested_;
     Scalar cbrRequested_;

@@ -5,7 +5,6 @@
 #include "ctrl/refresh_audit.hh"
 #include "ctrl/refresh_heatmap.hh"
 #include "sim/logging.hh"
-#include "sim/phase_profiler.hh"
 #include "sim/tracer.hh"
 
 namespace smartref {
@@ -269,7 +268,6 @@ MemoryController::kick(std::size_t engineIdx)
 void
 MemoryController::startItem(std::size_t engineIdx)
 {
-    PhaseScope issueScope(profiler_, "issue");
     const Item &item = engines_[engineIdx].current;
     if (item.kind == Item::Kind::Demand) {
         runDemand(engineIdx);
@@ -515,7 +513,6 @@ void
 MemoryController::finishRefresh(std::size_t engineIdx, bool rowWasOpen,
                                 std::uint32_t openRow)
 {
-    PhaseScope drainScope(profiler_, "drain");
     // Copied: finishEngine() below starts the engine's next item.
     const RefreshRequest req = engines_[engineIdx].current.ref;
     const int darpOutcome = engines_[engineIdx].current.darpOutcome;

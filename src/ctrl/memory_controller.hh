@@ -34,7 +34,6 @@
 
 namespace smartref {
 
-class PhaseProfiler;
 class RefreshHeatmap;
 
 /** Controller tunables. */
@@ -92,13 +91,6 @@ class MemoryController : public StatGroup
      * deadline path), Issued for policy-requested addressed refreshes.
      */
     void setAudit(RefreshAudit *audit) { audit_ = audit; }
-
-    /**
-     * Attach a phase profiler (not owned, may be null): engine item
-     * starts run under an "issue" scope and refresh completions under
-     * a "drain" scope.
-     */
-    void setProfiler(PhaseProfiler *profiler) { profiler_ = profiler; }
 
     /**
      * Submit a demand access arriving now.
@@ -291,7 +283,6 @@ class MemoryController : public StatGroup
     RefreshPolicy *policy_ = nullptr;
     RefreshHeatmap *heatmap_ = nullptr;
     RefreshAudit *audit_ = nullptr;
-    PhaseProfiler *profiler_ = nullptr;
 
     std::vector<Engine> engines_;
     /**

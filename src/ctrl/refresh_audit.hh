@@ -45,10 +45,8 @@
  * by (tick, channel) into one trail whose header carries the channel
  * count (format version 2).
  *
- * Like tracing, the record sites compile out: configure with
- * `-DSMARTREF_AUDIT=OFF` and `SMARTREF_AUDIT_RECORD` expands to
- * nothing. With auditing compiled in but no sink attached (the
- * default), each site costs one null-pointer branch.
+ * With no sink attached (the default), each record site costs one
+ * null-pointer branch.
  */
 
 #pragma once
@@ -238,20 +236,11 @@ class RefreshAudit
     std::uint32_t channels_ = 1;
 };
 
-/**
- * Record an audit outcome through a possibly-null RefreshAudit*.
- * Compiles to nothing under -DSMARTREF_AUDIT=OFF.
- */
-#ifndef SMARTREF_AUDIT_DISABLED
+/** Record an audit outcome through a possibly-null RefreshAudit*. */
 #define SMARTREF_AUDIT_RECORD(audit, ...)                                  \
     do {                                                                   \
         if (audit)                                                         \
             (audit)->record(__VA_ARGS__);                                  \
     } while (0)
-#else
-#define SMARTREF_AUDIT_RECORD(audit, ...)                                  \
-    do {                                                                   \
-    } while (0)
-#endif
 
 } // namespace smartref

@@ -93,7 +93,7 @@ class CliArgs
         return getString("telemetry-out");
     }
 
-    /** @name Audit / ledger / profiler output flags. */
+    /** @name Audit / ledger output flags. */
     ///@{
     /** Value of --audit-out: binary refresh-audit trail path. */
     std::string auditOutPath() const { return getString("audit-out"); }
@@ -115,13 +115,6 @@ class CliArgs
     ledgerCheckPath() const
     {
         return getString("ledger-check");
-    }
-
-    /** Value of --profile-out: standalone phase-profile JSON path. */
-    std::string
-    profileOutPath() const
-    {
-        return getString("profile-out");
     }
     ///@}
 

@@ -9,7 +9,6 @@
 #include "sim/json_writer.hh"
 #include "sim/logging.hh"
 #include "sim/mini_json.hh"
-#include "sim/phase_profiler.hh"
 
 namespace smartref {
 
@@ -166,7 +165,6 @@ runConventional(const BenchmarkProfile &profile, const DramConfig &dram,
     cfg.heatmap = opts.heatmap;
     cfg.audit = opts.audit;
     cfg.ledger = opts.ledger;
-    cfg.profiler = opts.profiler;
     cfg.retentionClasses = opts.retentionClasses;
     std::unique_ptr<EnergyLedger> checkLedger;
     if (opts.checkConservation && !cfg.ledger) {
@@ -228,7 +226,6 @@ runThreeD(const BenchmarkProfile &profile, const DramConfig &threeD,
     cfg.heatmap = opts.heatmap;
     cfg.audit = opts.audit;
     cfg.ledger = opts.ledger;
-    cfg.profiler = opts.profiler;
     cfg.retentionClasses = opts.retentionClasses;
     std::unique_ptr<EnergyLedger> checkLedger;
     if (opts.checkConservation && !cfg.ledger) {
@@ -280,11 +277,7 @@ comparePolicy(const BenchmarkProfile &profile, const DramConfig &dram,
     ComparisonResult c;
     c.benchmark = profile.name;
     c.suite = profile.suite;
-    {
-        PhaseScope stage(opts.profiler, "baseline");
-        c.baseline = run(PolicyKind::Cbr, baseOpts);
-    }
-    PhaseScope stage(opts.profiler, "policy");
+    c.baseline = run(PolicyKind::Cbr, baseOpts);
     c.smart = run(policy, opts);
     return c;
 }

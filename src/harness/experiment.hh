@@ -204,13 +204,6 @@ struct ExperimentOptions
     RefreshAudit *audit = nullptr;
     EnergyLedger *ledger = nullptr;
     /**
-     * Optional phase profiler (not owned), attached to *both* runs of a
-     * comparison — each run executes under its own "baseline"/"policy"
-     * stage scope, so its walk/issue/drain children stay separable.
-     * Host wall times feed telemetry only, never deterministic output.
-     */
-    PhaseProfiler *profiler = nullptr;
-    /**
      * Verify the energy-conservation invariant at the end of every run:
      * when no ledger is attached, a throwaway one is wired up for the
      * check. Fatal (std::runtime_error) on a violation.
@@ -248,8 +241,7 @@ RunResult runThreeD(const BenchmarkProfile &profile,
  * (runConventional with `absRowScale`). The heatmap, audit trail,
  * ledger and retention-class map apply to the run under test only:
  * the baseline keeps the uniform worst-case retention model and
- * doubles no observer's counts. The profiler covers both runs, under
- * "baseline" and "policy" stage scopes.
+ * doubles no observer's counts.
  */
 ComparisonResult comparePolicy(const BenchmarkProfile &profile,
                                const DramConfig &dram, PolicyKind policy,

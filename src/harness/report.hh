@@ -79,7 +79,4 @@ double printRefreshRateFigure(std::ostream &os, const std::string &title,
                               const std::vector<ComparisonResult> &results,
                               const std::string &csvPath = "");
 
-/** Assert that no run saw a retention violation; aborts loudly if so. */
-void checkNoViolations(const std::vector<ComparisonResult> &results);
-
 } // namespace smartref

@@ -50,7 +50,7 @@ jobCacheCanonical(const SweepJob &job, const SweepRunOptions &opts)
 {
     // Canonical textual identity of everything that shapes this job's
     // deterministic result. Execution-only knobs (jobs, shardJobs,
-    // telemetry/profile/heatmap sinks, progress, logLevel, the cache
+    // telemetry/heatmap sinks, progress, logLevel, the cache
     // itself) never change the result, so they must not appear here.
     std::ostringstream oss;
     oss << kEntrySchema << ";build{" << buildFingerprint() << "}"
@@ -149,7 +149,7 @@ ResultCache::lookup(const ResultCacheKey &key, SweepJobResult &out)
     } catch (const std::exception &) {
         // missCause is a variable, so resolve the handle explicitly
         // rather than through the literal-name macro.
-        if (kMetricsCompiledIn && metricsEnabled())
+        if (metricsEnabled())
             globalMetrics().counter(missCause).add(1);
         std::lock_guard<std::mutex> lk(mu_);
         ++stats_.misses;

@@ -84,8 +84,8 @@ class ResultCache
 
     /**
      * Store one finished job result under `key` via write-to-temp +
-     * atomic rename. Heatmaps and profile JSON are not stored (both
-     * are per-run observations, not the deterministic result).
+     * atomic rename. Heatmaps are not stored (they are per-run
+     * observations, not the deterministic result).
      */
     void store(const ResultCacheKey &key, const SweepJob &job,
                const SweepJobResult &result);

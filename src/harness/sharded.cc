@@ -69,10 +69,6 @@ ShardedSystem::ShardedSystem(const SystemConfig &cfg, unsigned shardJobs,
                 cfg_.ledger->intervalLength());
             chCfg.ledger = shard.ledger.get();
         }
-        // Host-timing telemetry only; one channel is representative and
-        // a single collector must not be hit from several workers.
-        if (c != 0)
-            chCfg.profiler = nullptr;
         shard.sys = std::make_unique<System>(chCfg);
     }
 }
@@ -113,7 +109,7 @@ void
 ShardedSystem::runSlice(Tick step)
 {
     using clock = std::chrono::steady_clock;
-    if (!(kMetricsCompiledIn && metricsEnabled())) {
+    if (!metricsEnabled()) {
         forEachChannel(
             [this, step](std::size_t c) { shards_[c].sys->run(step); });
         return;
@@ -136,7 +132,7 @@ ShardedSystem::runSlice(Tick step)
             .count();
     SMARTREF_METRIC_INC("sharded.epochs");
     for (std::size_t c = 0; c < channels_; ++c) {
-        [[maybe_unused]] const std::int64_t lag = epochNs - channelNs_[c];
+        const std::int64_t lag = epochNs - channelNs_[c];
         SMARTREF_METRIC_OBSERVE("sharded.epoch_lag_ns", lag > 0 ? lag : 0);
     }
 }

@@ -74,9 +74,7 @@ class ShardedSystem
      *        folds them in. A merged ledger must be shaped
      *        {channels * ranks, banks}; heatmap and audit keep the
      *        per-channel shape (heatmap cells sum across channels, the
-     *        audit trail carries a channel id per record). The phase
-     *        profiler is attached to channel 0 only (host-timing
-     *        telemetry; never deterministic output).
+     *        audit trail carries a channel id per record).
      * @param shardJobs worker threads for the per-epoch channel fan-out
      *        (1 = serial; results are identical either way)
      * @param epoch     lock-step epoch length (unused by a lone

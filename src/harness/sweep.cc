@@ -18,7 +18,6 @@
 #include "sim/json_writer.hh"
 #include "sim/logging.hh"
 #include "sim/metrics.hh"
-#include "sim/phase_profiler.hh"
 #include "sim/provenance.hh"
 #include "sim/thread_pool.hh"
 #include "trace/benchmark_profiles.hh"
@@ -48,9 +47,6 @@ runSweepJob(const SweepJob &job, const SweepRunOptions &opts)
     eo.checkConservation = opts.checkConservation;
     eo.shardJobs = opts.shardJobs;
     eo.sparseCounters = opts.sparseCounters;
-    PhaseProfiler profiler; // this job's own; jobs never share one
-    if (opts.profile)
-        eo.profiler = &profiler;
 
     const BenchmarkProfile &profile = findProfile(job.point.benchmark);
     const PolicyKind policy = policyFromString(job.point.policy);
@@ -83,8 +79,6 @@ runSweepJob(const SweepJob &job, const SweepRunOptions &opts)
     result.comparison =
         comparePolicy(profile, dram, policy, threeD, eo,
                       threeD ? 1.0 : absRowScaleFor(dram.org));
-    if (opts.profile)
-        result.profileJson = profiler.toJson();
 
     result.wallSeconds =
         std::chrono::duration<double>(std::chrono::steady_clock::now() -

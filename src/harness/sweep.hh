@@ -60,12 +60,6 @@ struct SweepJobResult
      * the merged export is deterministic at any -j N.
      */
     std::shared_ptr<RefreshHeatmap> heatmap;
-    /**
-     * Phase-profile JSON of this job (host wall time per stage);
-     * non-empty only with SweepRunOptions::profile. Telemetry-only —
-     * emitted in the job_finish NDJSON event, never in aggregates.
-     */
-    std::string profileJson;
     /** Served from the result cache (telemetry/progress only). */
     bool cached = false;
 };
@@ -97,11 +91,6 @@ struct SweepRunOptions
      * sweepConfigHash and invisible in aggregates.
      */
     bool checkConservation = false;
-    /**
-     * Collect a per-job phase profile (SweepJobResult::profileJson).
-     * Execution-only, like checkConservation.
-     */
-    bool profile = false;
     /**
      * Worker threads *inside* each multi-channel job (the sharded
      * per-channel engine, harness/sharded.hh). Execution-only, like
@@ -142,7 +131,7 @@ struct SweepRunOptions
  * option that changes simulated results (warmup/measure/segments/
  * autoReconfigure; sparseCounters only when set, mirroring
  * sweepConfigHash's asymmetry). Excludes execution-only knobs: jobs,
- * shardJobs, telemetry/profile/heatmap sinks, progress, logLevel.
+ * shardJobs, telemetry/heatmap sinks, progress, logLevel.
  */
 std::string jobCacheCanonical(const SweepJob &job,
                               const SweepRunOptions &opts);

@@ -108,10 +108,7 @@ SweepTelemetry::jobFinish(const SweepJobResult &result)
          << ",\"eventsPerSec\":" << jsonNumber(perSec)
          << ",\"eta_s\":" << eta
          << ",\"cached\":" << (result.cached ? "true" : "false")
-         << ",\"peakRssKb\":" << peakRssKb();
-    if (!result.profileJson.empty())
-        line << ",\"phases\":" << result.profileJson;
-    line << "}";
+         << ",\"peakRssKb\":" << peakRssKb() << "}";
     *os_ << line.str() << '\n';
     os_->flush(); // line-by-line so `tail -f` follows a live sweep
 }

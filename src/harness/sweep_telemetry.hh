@@ -55,9 +55,8 @@ class SweepTelemetry
     /**
      * Emit a job_finish event with wall time, events/s, peak RSS, a
      * linear completion estimate (`eta_s`, JSON null until a finite
-     * positive rate is observable — never inf/NaN), whether the result
-     * was served from the result cache and, when the job carried one,
-     * its phase profile.
+     * positive rate is observable — never inf/NaN) and whether the
+     * result was served from the result cache.
      */
     void jobFinish(const SweepJobResult &result);
 

@@ -51,6 +51,70 @@ deriveBusParams(const BusEnergyParams &base, const DramOrganization &org)
     return p;
 }
 
+std::unique_ptr<RefreshPolicy>
+assembleRefreshPolicy(const SystemConfig &cfg, DramModule &dram,
+                      MemoryController &ctrl, EventQueue &eq,
+                      StatGroup *parent)
+{
+    std::unique_ptr<RefreshPolicy> policy;
+    SmartRefreshPolicy *smart = nullptr;
+    switch (cfg.policy) {
+      case PolicyKind::Cbr:
+        policy = std::make_unique<CbrRefreshPolicy>(eq, parent);
+        break;
+      case PolicyKind::Burst:
+        policy = std::make_unique<BurstRefreshPolicy>(eq, parent);
+        break;
+      case PolicyKind::RasOnly:
+        policy = std::make_unique<RasOnlyRefreshPolicy>(
+            eq, deriveBusParams(cfg.bus, cfg.dram.org), parent);
+        break;
+      case PolicyKind::PerBank:
+        policy = std::make_unique<PerBankRefreshPolicy>(
+            eq, deriveBusParams(cfg.bus, cfg.dram.org), parent);
+        break;
+      case PolicyKind::Smart: {
+        SmartRefreshConfig sc = cfg.smart;
+        sc.bus = deriveBusParams(sc.bus, cfg.dram.org);
+        if (!sc.retentionClasses)
+            sc.retentionClasses = cfg.retentionClasses;
+        auto sp = std::make_unique<SmartRefreshPolicy>(cfg.dram, sc, eq,
+                                                       parent);
+        smart = sp.get();
+        policy = std::move(sp);
+        break;
+      }
+      case PolicyKind::RetentionAware:
+        SMARTREF_ASSERT(cfg.retentionClasses != nullptr,
+                        "RetentionAware policy needs retentionClasses");
+        policy = std::make_unique<RetentionAwarePolicy>(
+            eq, cfg.retentionClasses,
+            deriveBusParams(cfg.bus, cfg.dram.org), parent);
+        break;
+    }
+    if (cfg.retentionClasses) {
+        std::vector<std::uint8_t> m(cfg.retentionClasses->totalRows());
+        for (std::uint64_t i = 0; i < m.size(); ++i) {
+            m[i] = static_cast<std::uint8_t>(
+                cfg.retentionClasses->multiplier(i));
+        }
+        dram.retention().applyClassMultipliers(m);
+    }
+    ctrl.setRefreshPolicy(policy.get());
+    if (cfg.heatmap) {
+        ctrl.setHeatmap(cfg.heatmap);
+        if (smart)
+            smart->setHeatmap(cfg.heatmap);
+    }
+    if (cfg.audit) {
+        ctrl.setAudit(cfg.audit);
+        policy->setAudit(cfg.audit);
+    }
+    if (cfg.ledger)
+        dram.setLedger(cfg.ledger);
+    return policy;
+}
+
 System::System(const SystemConfig &cfg)
     : StatGroup("system"), cfg_(cfg)
 {
@@ -64,65 +128,8 @@ System::System(const SystemConfig &cfg)
     ctrl_ = std::make_unique<MemoryController>(*dram_, eq_, cfg_.ctrl,
                                                this);
 
-    switch (cfg_.policy) {
-      case PolicyKind::Cbr:
-        policy_ = std::make_unique<CbrRefreshPolicy>(eq_, this);
-        break;
-      case PolicyKind::Burst:
-        policy_ = std::make_unique<BurstRefreshPolicy>(eq_, this);
-        break;
-      case PolicyKind::RasOnly:
-        policy_ = std::make_unique<RasOnlyRefreshPolicy>(
-            eq_, deriveBusParams(cfg_.bus, cfg_.dram.org), this);
-        break;
-      case PolicyKind::PerBank:
-        policy_ = std::make_unique<PerBankRefreshPolicy>(
-            eq_, deriveBusParams(cfg_.bus, cfg_.dram.org), this);
-        break;
-      case PolicyKind::Smart: {
-        SmartRefreshConfig sc = cfg_.smart;
-        sc.bus = deriveBusParams(sc.bus, cfg_.dram.org);
-        if (!sc.retentionClasses)
-            sc.retentionClasses = cfg_.retentionClasses;
-        auto smart = std::make_unique<SmartRefreshPolicy>(cfg_.dram, sc,
-                                                          eq_, this);
-        smartPolicy_ = smart.get();
-        policy_ = std::move(smart);
-        break;
-      }
-      case PolicyKind::RetentionAware:
-        SMARTREF_ASSERT(cfg_.retentionClasses != nullptr,
-                        "RetentionAware policy needs retentionClasses");
-        policy_ = std::make_unique<RetentionAwarePolicy>(
-            eq_, cfg_.retentionClasses,
-            deriveBusParams(cfg_.bus, cfg_.dram.org), this);
-        break;
-    }
-    if (cfg_.retentionClasses) {
-        std::vector<std::uint8_t> m(cfg_.retentionClasses->totalRows());
-        for (std::uint64_t i = 0; i < m.size(); ++i) {
-            m[i] = static_cast<std::uint8_t>(
-                cfg_.retentionClasses->multiplier(i));
-        }
-        dram_->retention().applyClassMultipliers(m);
-    }
-    ctrl_->setRefreshPolicy(policy_.get());
-    if (cfg_.heatmap) {
-        ctrl_->setHeatmap(cfg_.heatmap);
-        if (smartPolicy_)
-            smartPolicy_->setHeatmap(cfg_.heatmap);
-    }
-    if (cfg_.audit) {
-        ctrl_->setAudit(cfg_.audit);
-        policy_->setAudit(cfg_.audit);
-    }
-    if (cfg_.ledger)
-        dram_->setLedger(cfg_.ledger);
-    if (cfg_.profiler) {
-        ctrl_->setProfiler(cfg_.profiler);
-        if (smartPolicy_)
-            smartPolicy_->setProfiler(cfg_.profiler);
-    }
+    policy_ = assembleRefreshPolicy(cfg_, *dram_, *ctrl_, eq_, this);
+    smartPolicy_ = dynamic_cast<SmartRefreshPolicy *>(policy_.get());
 }
 
 WorkloadModel &

@@ -76,12 +76,6 @@ struct SystemConfig
      * conservation invariant holds at finalize().
      */
     EnergyLedger *ledger = nullptr;
-    /**
-     * Optional phase profiler (not owned; must outlive the system).
-     * Collects host wall time and event counts for the walk/issue/drain
-     * stages; never feeds deterministic outputs.
-     */
-    PhaseProfiler *profiler = nullptr;
 };
 
 /**
@@ -90,6 +84,17 @@ struct SystemConfig
  */
 BusEnergyParams deriveBusParams(const BusEnergyParams &base,
                                 const DramOrganization &org);
+
+/**
+ * Build `cfg.policy` as a child of `parent` for the module `dram` behind
+ * `ctrl`, apply `cfg.retentionClasses`' multipliers to the module and
+ * attach `cfg`'s heatmap, audit trail and ledger. System uses it for its
+ * one channel and ThreeDSystem for its stacked die.
+ */
+std::unique_ptr<RefreshPolicy>
+assembleRefreshPolicy(const SystemConfig &cfg, DramModule &dram,
+                      MemoryController &ctrl, EventQueue &eq,
+                      StatGroup *parent);
 
 /** One conventional simulated system. */
 class System : public StatGroup

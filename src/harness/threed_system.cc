@@ -11,79 +11,32 @@ ThreeDSystem::ThreeDSystem(const ThreeDSystemConfig &cfg)
     cfg_.mainMem.validate();
 
     threeDDram_ = std::make_unique<DramModule>(cfg_.threeD, eq_, this);
-    mainDram_ = std::make_unique<DramModule>(cfg_.mainMem, eq_, this);
+    mainDram_ = std::make_unique<DramModule>(cfg_.mainMem, eq_, &mainMem_);
     threeDCtrl_ = std::make_unique<MemoryController>(*threeDDram_, eq_,
                                                      cfg_.ctrl, this);
     mainCtrl_ = std::make_unique<MemoryController>(*mainDram_, eq_,
-                                                   cfg_.ctrl, this);
+                                                   cfg_.ctrl, &mainMem_);
 
-    switch (cfg_.threeDPolicy) {
-      case PolicyKind::Cbr:
-        policy_ = std::make_unique<CbrRefreshPolicy>(eq_, this);
-        break;
-      case PolicyKind::Burst:
-        policy_ = std::make_unique<BurstRefreshPolicy>(eq_, this);
-        break;
-      case PolicyKind::RasOnly:
-        policy_ = std::make_unique<RasOnlyRefreshPolicy>(
-            eq_, deriveBusParams(cfg_.bus, cfg_.threeD.org), this);
-        break;
-      case PolicyKind::PerBank:
-        policy_ = std::make_unique<PerBankRefreshPolicy>(
-            eq_, deriveBusParams(cfg_.bus, cfg_.threeD.org), this);
-        break;
-      case PolicyKind::Smart: {
-        SmartRefreshConfig sc = cfg_.smart;
-        sc.bus = deriveBusParams(sc.bus, cfg_.threeD.org);
-        // The stacked die hangs off die-to-die vias, not a board bus:
-        // no off-chip trace, single module load.
-        sc.bus.offChipLengthMm = 0.0;
-        sc.bus.onChipLengthMm = 12.0;
-        if (!sc.retentionClasses)
-            sc.retentionClasses = cfg_.retentionClasses;
-        auto smart = std::make_unique<SmartRefreshPolicy>(cfg_.threeD, sc,
-                                                          eq_, this);
-        smartPolicy_ = smart.get();
-        policy_ = std::move(smart);
-        break;
-      }
-      case PolicyKind::RetentionAware:
-        SMARTREF_ASSERT(cfg_.retentionClasses != nullptr,
-                        "RetentionAware policy needs retentionClasses");
-        policy_ = std::make_unique<RetentionAwarePolicy>(
-            eq_, cfg_.retentionClasses,
-            deriveBusParams(cfg_.bus, cfg_.threeD.org), this);
-        break;
-    }
-    if (cfg_.retentionClasses) {
-        std::vector<std::uint8_t> m(cfg_.retentionClasses->totalRows());
-        for (std::uint64_t i = 0; i < m.size(); ++i) {
-            m[i] = static_cast<std::uint8_t>(
-                cfg_.retentionClasses->multiplier(i));
-        }
-        threeDDram_->retention().applyClassMultipliers(m);
-    }
-    threeDCtrl_->setRefreshPolicy(policy_.get());
-    if (cfg_.heatmap) {
-        // The heatmap observes the stacked die under the policy being
-        // studied; main memory always runs plain CBR and stays out.
-        threeDCtrl_->setHeatmap(cfg_.heatmap);
-        if (smartPolicy_)
-            smartPolicy_->setHeatmap(cfg_.heatmap);
-    }
-    if (cfg_.audit) {
-        threeDCtrl_->setAudit(cfg_.audit);
-        policy_->setAudit(cfg_.audit);
-    }
-    if (cfg_.ledger)
-        threeDDram_->setLedger(cfg_.ledger);
-    if (cfg_.profiler) {
-        threeDCtrl_->setProfiler(cfg_.profiler);
-        if (smartPolicy_)
-            smartPolicy_->setProfiler(cfg_.profiler);
-    }
+    // The policy under study and every observer sit on the stacked die;
+    // main memory always runs plain CBR and stays unobserved.
+    SystemConfig die;
+    die.dram = cfg_.threeD;
+    die.policy = cfg_.threeDPolicy;
+    die.smart = cfg_.smart;
+    // The stacked die hangs off die-to-die vias, not a board bus:
+    // no off-chip trace, single module load.
+    die.smart.bus.offChipLengthMm = 0.0;
+    die.smart.bus.onChipLengthMm = 12.0;
+    die.bus = cfg_.bus;
+    die.retentionClasses = cfg_.retentionClasses;
+    die.heatmap = cfg_.heatmap;
+    die.audit = cfg_.audit;
+    die.ledger = cfg_.ledger;
+    policy_ = assembleRefreshPolicy(die, *threeDDram_, *threeDCtrl_, eq_,
+                                    this);
+    smartPolicy_ = dynamic_cast<SmartRefreshPolicy *>(policy_.get());
 
-    mainPolicy_ = std::make_unique<CbrRefreshPolicy>(eq_, this);
+    mainPolicy_ = std::make_unique<CbrRefreshPolicy>(eq_, &mainMem_);
     mainCtrl_->setRefreshPolicy(mainPolicy_.get());
 
     cache_ = std::make_unique<DramCache>(*threeDCtrl_, *mainCtrl_,

@@ -43,12 +43,10 @@ struct ThreeDSystemConfig
      * Optional observability attachments (not owned; must outlive the
      * system), wired to the stacked die like the heatmap: the audit
      * trail to its controller and policy, the ledger to its DRAM
-     * module, the profiler to its controller and Smart Refresh walk.
-     * Main memory always runs CBR and is not observed.
+     * module. Main memory always runs CBR and is not observed.
      */
     RefreshAudit *audit = nullptr;
     EnergyLedger *ledger = nullptr;
-    PhaseProfiler *profiler = nullptr;
 };
 
 /** One 3D die-stacked simulated system. */
@@ -77,6 +75,13 @@ class ThreeDSystem : public StatGroup
   private:
     ThreeDSystemConfig cfg_;
     EventQueue eq_;
+    /**
+     * Stat group of main memory's module, controller and policy, so
+     * their paths (system3d.mainMem.ctrl.*) never collide with the
+     * stacked die's (system3d.ctrl.*). Declared before them: it must
+     * outlive its children.
+     */
+    StatGroup mainMem_{"mainMem", this};
     std::unique_ptr<DramModule> threeDDram_;
     std::unique_ptr<DramModule> mainDram_;
     std::unique_ptr<MemoryController> threeDCtrl_;

@@ -10,18 +10,17 @@
  * per-job wall distributions across *every* run this process has
  * executed. smartref_sweep dumps it via `--metrics-out`.
  *
- * Contract mirrored from `peakRssBytes` and the phase profiler: every
- * metrics output is a non-deterministic sidecar and must never be
- * embedded in deterministic aggregates (sweep JSON/CSV, stats dumps,
- * cache entries). CI pins this by comparing smoke-sweep bytes with
- * metrics on vs off.
+ * Contract mirrored from `peakRssBytes`: every metrics output is a
+ * non-deterministic sidecar and must never be embedded in
+ * deterministic aggregates (sweep JSON/CSV, stats dumps, cache
+ * entries). CI pins this by comparing smoke-sweep bytes with metrics
+ * on vs off.
  *
  * Update cost: one relaxed atomic RMW per counter add, two per
  * histogram observe (plus CAS loops for min/max on new extremes).
  * Instrumented call sites go through the SMARTREF_METRIC_* macros,
- * which compile out entirely under -DSMARTREF_METRICS=OFF (mirroring
- * the SMARTREF_TRACING switch) and honour a runtime kill switch
- * (setMetricsEnabled) so one binary can measure its own overhead.
+ * which honour a runtime kill switch (setMetricsEnabled) so one binary
+ * can measure its own overhead.
  *
  * The registry never deletes an instrument: references returned by
  * counter()/gauge()/histogram() stay valid for the process lifetime,
@@ -42,13 +41,6 @@
 #include <string>
 
 namespace smartref {
-
-/** True when the library was built with metrics compiled in. */
-#ifndef SMARTREF_METRICS_DISABLED
-inline constexpr bool kMetricsCompiledIn = true;
-#else
-inline constexpr bool kMetricsCompiledIn = false;
-#endif
 
 /** Monotonically increasing event count. */
 class MetricCounter
@@ -194,8 +186,6 @@ MetricsRegistry &globalMetrics();
 void setMetricsEnabled(bool enabled);
 bool metricsEnabled();
 
-#ifndef SMARTREF_METRICS_DISABLED
-
 /** Add `n` to the process-wide counter `name`. */
 #define SMARTREF_METRIC_ADD(name, n)                                         \
     do {                                                                     \
@@ -230,22 +220,5 @@ bool metricsEnabled();
                 static_cast<std::uint64_t>(v));                             \
         }                                                                    \
     } while (0)
-
-#else // SMARTREF_METRICS_DISABLED
-
-#define SMARTREF_METRIC_ADD(name, n)                                         \
-    do {                                                                     \
-    } while (0)
-#define SMARTREF_METRIC_INC(name)                                            \
-    do {                                                                     \
-    } while (0)
-#define SMARTREF_METRIC_SET(name, v)                                         \
-    do {                                                                     \
-    } while (0)
-#define SMARTREF_METRIC_OBSERVE(name, v)                                     \
-    do {                                                                     \
-    } while (0)
-
-#endif // SMARTREF_METRICS_DISABLED
 
 } // namespace smartref

@@ -120,15 +120,12 @@ statValue(const StatBase &stat)
 
 void
 writeStatsJson(const StatGroup &root, std::ostream &os,
-               const std::string &metaJson,
-               const std::string &extraMembers)
+               const std::string &metaJson)
 {
     os.precision(std::numeric_limits<double>::max_digits10);
     os << "{\n  \"root\": " << jsonQuoted(root.statName()) << ",\n";
     if (!metaJson.empty())
         os << "  \"meta\": " << metaJson << ",\n";
-    if (!extraMembers.empty())
-        os << "  " << extraMembers << ",\n";
     os << "  \"stats\": {\n";
     bool first = true;
     const std::string prefix =
@@ -139,13 +136,12 @@ writeStatsJson(const StatGroup &root, std::ostream &os,
 
 void
 writeStatsJson(const StatGroup &root, const std::string &path,
-               const std::string &metaJson,
-               const std::string &extraMembers)
+               const std::string &metaJson)
 {
     std::ofstream out(path);
     if (!out)
         SMARTREF_FATAL("cannot write stats JSON '", path, "'");
-    writeStatsJson(root, out, metaJson, extraMembers);
+    writeStatsJson(root, out, metaJson);
 }
 
 } // namespace smartref

@@ -30,19 +30,13 @@ double statValue(const StatBase &stat);
  * Serialise `root`'s subtree as JSON to a stream. When `metaJson` is
  * non-empty it must be a complete JSON value (normally produced by
  * smartref::metaJson()) and is embedded verbatim as a top-level "meta"
- * member, giving the dump run provenance. `extraMembers`, when
- * non-empty, is spliced verbatim as additional top-level members and
- * must be well-formed `"key": value` pairs (e.g. `"phases": [...]`);
- * callers embedding host timings this way keep them out of the "stats"
- * object, preserving its deterministic diffability.
+ * member, giving the dump run provenance.
  */
 void writeStatsJson(const StatGroup &root, std::ostream &os,
-                    const std::string &metaJson = "",
-                    const std::string &extraMembers = "");
+                    const std::string &metaJson = "");
 
 /** Serialise `root`'s subtree as JSON to a file (fatal on I/O error). */
 void writeStatsJson(const StatGroup &root, const std::string &path,
-                    const std::string &metaJson = "",
-                    const std::string &extraMembers = "");
+                    const std::string &metaJson = "");
 
 } // namespace smartref

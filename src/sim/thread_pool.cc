@@ -151,10 +151,10 @@ ThreadPool::workerLoop(unsigned id)
     for (;;) {
         std::function<void()> task;
         if (tryGetTask(id, task)) {
-            if (kMetricsCompiledIn && metricsEnabled()) {
+            if (metricsEnabled()) {
                 const auto t0 = std::chrono::steady_clock::now();
                 task();
-                [[maybe_unused]] const auto busy =
+                const auto busy =
                     std::chrono::duration_cast<std::chrono::nanoseconds>(
                         std::chrono::steady_clock::now() - t0)
                         .count();

@@ -12,8 +12,7 @@
  *  - CsvTraceSink writes a compact one-line-per-event CSV timeline.
  *
  * The hot-path cost when tracing is off is a single branch on the
- * category mask; building with -DSMARTREF_TRACING=OFF compiles the
- * macros out entirely so instrumented code carries zero overhead.
+ * category mask.
  *
  * The simulator is single-threaded, so the tracer keeps no locks; the
  * process-wide instance returned by globalTracer() is what the macros
@@ -227,7 +226,6 @@ Tracer &globalTracer();
  * Tracer::emit(cat, tick, name, rank, bank, row, value, duration,
  * detail); trailing arguments are optional.
  */
-#ifndef SMARTREF_TRACING_DISABLED
 #define SMARTREF_TRACE_ENABLED(cat) (::smartref::globalTracer().enabled(cat))
 #define SMARTREF_TRACE(cat, ...)                                             \
     do {                                                                     \
@@ -240,14 +238,5 @@ Tracer &globalTracer();
             ::smartref::globalTracer().emitCounter((cat), (tick), (name),    \
                                                    (value));                 \
     } while (0)
-#else
-#define SMARTREF_TRACE_ENABLED(cat) (false)
-#define SMARTREF_TRACE(cat, ...)                                             \
-    do {                                                                     \
-    } while (0)
-#define SMARTREF_TRACE_COUNTER(cat, tick, name, value)                       \
-    do {                                                                     \
-    } while (0)
-#endif
 
 } // namespace smartref

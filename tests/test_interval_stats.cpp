@@ -179,7 +179,6 @@ TEST(IntervalStats, WriteCsvEmitsHeaderAndMillisecondTimes)
     EXPECT_EQ(line, "2,4,0,5");
 }
 
-#ifndef SMARTREF_TRACING_DISABLED
 TEST(IntervalStats, SamplesFeedTracerAsCounterEvents)
 {
     struct RecordingSink : TraceSink
@@ -206,7 +205,6 @@ TEST(IntervalStats, SamplesFeedTracerAsCounterEvents)
     EXPECT_DOUBLE_EQ(events[0].value, 7.0);
     EXPECT_EQ(events[1].tick, 2 * kMillisecond);
 }
-#endif // SMARTREF_TRACING_DISABLED
 
 TEST(IntervalStats, MisuseIsRejected)
 {

@@ -17,8 +17,7 @@
  *
  * Everything below uses a local MetricsRegistry where possible; the
  * macro tests touch globalMetrics() with test-unique names so they
- * cannot collide with instrumented library code, and are written to
- * pass in both -DSMARTREF_METRICS=ON and =OFF builds.
+ * cannot collide with instrumented library code.
  */
 
 #include <gtest/gtest.h>
@@ -280,24 +279,13 @@ TEST(MetricsMacros, HonourCompileAndRuntimeSwitches)
     setMetricsEnabled(true);
     SMARTREF_METRIC_INC("test.macro.inc");
     SMARTREF_METRIC_ADD("test.macro.inc", 2);
-    const std::uint64_t expected =
-        kMetricsCompiledIn ? before + 3 : before;
     EXPECT_EQ(globalMetrics().counter("test.macro.inc").value(),
-              expected);
+              before + 3);
 
     SMARTREF_METRIC_SET("test.macro.gauge", 7);
     SMARTREF_METRIC_OBSERVE("test.macro.hist", 31);
-    if (kMetricsCompiledIn) {
-        EXPECT_EQ(globalMetrics().gauge("test.macro.gauge").value(),
-                  7.0);
-        EXPECT_EQ(
-            globalMetrics().histogram("test.macro.hist").count(), 1u);
-    } else {
-        EXPECT_EQ(globalMetrics().gauge("test.macro.gauge").value(),
-                  0.0);
-        EXPECT_EQ(
-            globalMetrics().histogram("test.macro.hist").count(), 0u);
-    }
+    EXPECT_EQ(globalMetrics().gauge("test.macro.gauge").value(), 7.0);
+    EXPECT_EQ(globalMetrics().histogram("test.macro.hist").count(), 1u);
 }
 
 // ------------------------------------------------------ golden hygiene

@@ -161,8 +161,6 @@ TEST(RefreshAudit, RecordMacroIgnoresNullTarget)
     SUCCEED();
 }
 
-#ifndef SMARTREF_AUDIT_DISABLED
-
 namespace {
 
 /** Run one short experiment with an audit trail attached. */
@@ -238,5 +236,3 @@ TEST(RefreshAuditWiring, CoordinatesStayInsideTheModuleShape)
         last = r.tick;
     });
 }
-
-#endif // SMARTREF_AUDIT_DISABLED

@@ -158,21 +158,6 @@ TEST(PrintRefreshRateFigure, ShowsBaselineAnchor)
     EXPECT_NE(oss.str().find("75.0%"), std::string::npos);
 }
 
-TEST(CheckNoViolations, PassesOnClean)
-{
-    std::vector<ComparisonResult> results = {
-        fakeResult("a", "S", 1.0, 1.0)};
-    EXPECT_NO_THROW(checkNoViolations(results));
-}
-
-TEST(CheckNoViolations, PanicsOnViolation)
-{
-    std::vector<ComparisonResult> results = {
-        fakeResult("a", "S", 1.0, 1.0)};
-    results[0].smart.violations = 1;
-    EXPECT_THROW(checkNoViolations(results), std::logic_error);
-}
-
 TEST(PrintFigure, DecimalsParameterControlsPrecision)
 {
     std::vector<ComparisonResult> results = {

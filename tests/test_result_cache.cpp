@@ -133,12 +133,11 @@ TEST(CacheKey, ExcludesExecutionOnlyKnobs)
     const std::string base = resultCacheKey(job, opts).hex;
 
     // None of the execution knobs may perturb the key: -j N,
-    // --shard-jobs, telemetry/profile/heatmap sinks, progress,
+    // --shard-jobs, telemetry/heatmap sinks, progress,
     // log level, conservation checking, the cache config itself.
     opts.jobs = 8;
     opts.shardJobs = 4;
     opts.progress = true;
-    opts.profile = true;
     opts.collectHeatmaps = true;
     opts.checkConservation = true;
     opts.logLevel = LogLevel::Debug;

@@ -184,9 +184,7 @@ TEST(ShardedSystem, SingleChannelMatchesPlainSystem)
         const ChannelOutputs b = runOneChannel(benchmark, false);
         expectSameSnapshot(a.warm, b.warm);
         expectSameSnapshot(a.end, b.end);
-#ifndef SMARTREF_AUDIT_DISABLED
         EXPECT_FALSE(b.auditNdjson.empty());
-#endif
         EXPECT_EQ(a.heatmapJson, b.heatmapJson);
         EXPECT_EQ(a.heatmapCsv, b.heatmapCsv);
         EXPECT_EQ(a.auditBinary, b.auditBinary);

@@ -7,7 +7,11 @@
 
 #include <gtest/gtest.h>
 
+#include <sstream>
+
 #include "harness/experiment.hh"
+#include "sim/mini_json.hh"
+#include "sim/stats_json.hh"
 #include "test_config.hh"
 
 using namespace smartref;
@@ -200,4 +204,43 @@ TEST(ThreeDIntegration, SmartWithClassesOnStackedDie)
     EXPECT_EQ(sys.threeDDram().retention().finalCheck(
                   sys.eventQueue().now()),
               0u);
+}
+
+TEST(ThreeDIntegration, StatsExportKeepsBothDomainsApart)
+{
+    // Main memory's module, controller and CBR policy sit under
+    // "mainMem", so every exported path names exactly one stat — also
+    // under CBR, where both domains run a policy named "refresh.cbr".
+    for (PolicyKind kind : {PolicyKind::Smart, PolicyKind::Cbr}) {
+        SCOPED_TRACE(toString(kind));
+        ThreeDSystem sys(tinyThreeD(kind));
+        WorkloadParams wp = cacheWorkload(sys.config().threeD, 0.5);
+        // Twice the cache capacity, so misses reach main memory.
+        wp.footprintRows = 2 * sys.config().threeD.org.totalRows();
+        sys.addWorkload(wp);
+        sys.run(2 * sys.config().threeD.timing.retention);
+        ASSERT_GT(sys.mainController().demandReads(), 0u);
+
+        std::ostringstream os;
+        ASSERT_NO_THROW(writeStatsJson(sys, os));
+        const minijson::Value doc = minijson::parse(os.str());
+        const minijson::Value &stats = doc.at("stats");
+        EXPECT_EQ(stats.at("system3d.ctrl.demandReads").at("value").number,
+                  double(sys.threeDController().demandReads()));
+        EXPECT_EQ(
+            stats.at("system3d.mainMem.ctrl.demandReads").at("value").number,
+            double(sys.mainController().demandReads()));
+
+        const std::string stacked =
+            std::string("system3d.refresh.") + toString(kind) + ".";
+        const std::string main = "system3d.mainMem.refresh.cbr.";
+        std::size_t stackedStats = 0;
+        std::size_t mainStats = 0;
+        for (const auto &[key, value] : stats.object) {
+            stackedStats += key.compare(0, stacked.size(), stacked) == 0;
+            mainStats += key.compare(0, main.size(), main) == 0;
+        }
+        EXPECT_GT(stackedStats, 0u);
+        EXPECT_GT(mainStats, 0u);
+    }
 }

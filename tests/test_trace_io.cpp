@@ -15,7 +15,12 @@ class TraceIoTest : public ::testing::Test
     void
     SetUp() override
     {
-        path_ = ::testing::TempDir() + "smartref_trace_test.trc";
+        // One file per test: ctest runs each case as its own process,
+        // possibly concurrently.
+        const ::testing::TestInfo *info =
+            ::testing::UnitTest::GetInstance()->current_test_info();
+        path_ = ::testing::TempDir() + "smartref_trace_" + info->name() +
+                ".trc";
     }
 
     void TearDown() override { std::remove(path_.c_str()); }

@@ -72,8 +72,6 @@ TEST(Tracer, EnabledNeedsBothSinkAndCategory)
     EXPECT_FALSE(tracer.enabled(TraceCategory::Counter));
 }
 
-#ifndef SMARTREF_TRACING_DISABLED
-
 TEST(Tracer, MacroFiltersByCategory)
 {
     GlobalTracerGuard guard;
@@ -90,8 +88,6 @@ TEST(Tracer, MacroFiltersByCategory)
     EXPECT_EQ(events[0].tick, 100u);
     EXPECT_EQ(globalTracer().emitted(), 1u);
 }
-
-#endif // SMARTREF_TRACING_DISABLED
 
 TEST(Tracer, EventsReachSinksInEmissionOrder)
 {

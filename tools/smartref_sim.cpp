@@ -26,7 +26,6 @@
 #include "harness/report.hh"
 #include "harness/sharded.hh"
 #include "sim/interval_stats.hh"
-#include "sim/phase_profiler.hh"
 #include "sim/provenance.hh"
 #include "sim/stats_json.hh"
 #include "sim/suggest.hh"
@@ -69,7 +68,6 @@ constexpr const char *kUsage = R"(usage:
                [--ledger-check FILE] conservation-check JSON (for
                                      smartref_statdiff --subset)
                [--check-conservation]  verify the ledger invariant
-               [--profile-out FILE]  phase-profile JSON (host wall time)
                [--trace-out FILE]    Chrome trace_event JSON timeline
                [--trace-csv FILE]    compact CSV timeline
                [--trace-categories LIST]  e.g. refresh,counter (def all)
@@ -239,7 +237,7 @@ makeSampler(const CliArgs &args, const StatGroup &root, EventQueue &eq,
 }
 
 /**
- * Verify and drain the optional audit / ledger / profile artifacts.
+ * Verify and drain the optional audit / ledger artifacts.
  * The overhead lump joins the ledger here because it is an analytic
  * per-run quantity the DRAM module never sees. @p dram is null for
  * multi-channel runs, whose caller has already verified every
@@ -248,8 +246,7 @@ makeSampler(const CliArgs &args, const StatGroup &root, EventQueue &eq,
 void
 finishLedgerAudit(const CliArgs &args, const DramModule *dram,
                   double overheadJoules, const RefreshAudit *audit,
-                  EnergyLedger *ledger, const PhaseProfiler *profiler,
-                  const std::string &configHash)
+                  EnergyLedger *ledger, const std::string &configHash)
 {
     if (ledger) {
         ledger->setOverhead(overheadJoules);
@@ -299,20 +296,6 @@ finishLedgerAudit(const CliArgs &args, const DramModule *dram,
                       << "\n";
         }
     }
-    if (profiler && !args.profileOutPath().empty()) {
-        std::ofstream out(args.profileOutPath());
-        if (!out)
-            SMARTREF_FATAL("cannot write profile JSON '",
-                           args.profileOutPath(), "'");
-        RunMeta meta;
-        meta.schema = "smartref-profile-v1";
-        meta.configHash = configHash;
-        out << "{\"schema\":\"smartref-profile-v1\",\"meta\":"
-            << metaJson(meta) << ",\"phases\":" << profiler->toJson()
-            << "}\n";
-        std::cout << "phase profile written to "
-                  << args.profileOutPath() << "\n";
-    }
 }
 
 /** End-of-run observability output: interval CSV, JSON stats, heatmap,
@@ -320,8 +303,7 @@ finishLedgerAudit(const CliArgs &args, const DramModule *dram,
 void
 finishObservability(const CliArgs &args, const StatGroup &root,
                     IntervalStats *sampler, const std::string &configHash,
-                    const RefreshHeatmap *heatmap,
-                    const PhaseProfiler *profiler)
+                    const RefreshHeatmap *heatmap)
 {
     if (sampler) {
         sampler->finish();
@@ -335,13 +317,7 @@ finishObservability(const CliArgs &args, const StatGroup &root,
         RunMeta meta;
         meta.schema = "smartref-stats-v1";
         meta.configHash = configHash;
-        // Host wall times are non-deterministic, so phase profiles ride
-        // as a top-level extra member, never inside "stats".
-        std::string extra;
-        if (profiler && !profiler->empty())
-            extra = "\"phases\": " + profiler->toJson();
-        writeStatsJson(root, args.statsJsonPath(), metaJson(meta),
-                       extra);
+        writeStatsJson(root, args.statsJsonPath(), metaJson(meta));
         std::cout << "JSON statistics written to "
                   << args.statsJsonPath() << "\n";
     }
@@ -435,12 +411,6 @@ main(int argc, char **argv)
 
     const bool wantAudit =
         !args.auditOutPath().empty() || !args.auditJsonPath().empty();
-#ifdef SMARTREF_AUDIT_DISABLED
-    if (wantAudit) {
-        SMARTREF_FATAL("this binary was built with SMARTREF_AUDIT=OFF; "
-                       "--audit-out/--audit-json are unavailable");
-    }
-#endif
     std::unique_ptr<RefreshAudit> audit;
     if (wantAudit) {
         audit = std::make_unique<RefreshAudit>(RefreshAudit::Shape{
@@ -455,9 +425,6 @@ main(int argc, char **argv)
         ledger = std::make_unique<EnergyLedger>(EnergyLedger::Shape{
             dram.channels * dram.org.ranks, dram.org.banks});
     }
-    std::unique_ptr<PhaseProfiler> profiler;
-    if (!args.profileOutPath().empty())
-        profiler = std::make_unique<PhaseProfiler>();
 
     std::uint64_t violations = 0;
 
@@ -475,7 +442,6 @@ main(int argc, char **argv)
         }
         cfg.audit = audit.get();
         cfg.ledger = ledger.get();
-        cfg.profiler = profiler.get();
         ThreeDSystem sys(cfg);
         const std::string benchName =
             args.getString("benchmark", "mummer");
@@ -506,10 +472,9 @@ main(int argc, char **argv)
         }
         finishLedgerAudit(args, &sys.threeDDram(),
                           sys.threeDPolicy().overheadEnergy(),
-                          audit.get(), ledger.get(), profiler.get(),
-                          configHash);
+                          audit.get(), ledger.get(), configHash);
         finishObservability(args, sys, sampler.get(), configHash,
-                            cfg.heatmap, profiler.get());
+                            cfg.heatmap);
     } else {
         // Every conventional config runs on the per-channel sharded
         // engine (harness/sharded.hh): one event queue per channel,
@@ -558,7 +523,6 @@ main(int argc, char **argv)
         }
         cfg.audit = audit.get();
         cfg.ledger = ledger.get();
-        cfg.profiler = profiler.get();
 
         ShardedSystem sys(cfg, opts.shardJobs);
         System &ch0 = sys.channel(0);
@@ -633,10 +597,9 @@ main(int argc, char **argv)
             overhead += sys.channel(c).refreshPolicy().overheadEnergy();
         sys.mergeObservers();
         finishLedgerAudit(args, multi ? nullptr : &ch0.dram(), overhead,
-                          audit.get(), ledger.get(), profiler.get(),
-                          configHash);
+                          audit.get(), ledger.get(), configHash);
         finishObservability(args, ch0, sampler.get(), configHash,
-                            cfg.heatmap, profiler.get());
+                            cfg.heatmap);
     }
 
     return violations == 0 ? 0 : 1;

@@ -53,8 +53,6 @@ constexpr const char *kUsage = R"(usage:
                                        telemetry (not deterministic)
                  [--check-conservation] verify the energy-ledger
                                        invariant inside every job
-                 [--profile]           collect per-job phase profiles
-                                       (telemetry NDJSON only)
                  [--parallelism A,B,..] override the grid's refresh
                                        parallelism axis (none, refpb,
                                        darp, sarp, all)
@@ -157,11 +155,6 @@ main(int argc, char **argv)
     const ExperimentOptions eo = args.experimentOptions();
     setLogLevel(eo.logLevel);
 
-    // Mirror the audit frontend: a metrics flag against a metrics-less
-    // build is a configuration error, not a silently empty snapshot.
-    if (args.has("metrics-out") && !kMetricsCompiledIn)
-        SMARTREF_FATAL("--metrics-out requires a build with "
-                       "-DSMARTREF_METRICS=ON");
     if (args.has("no-metrics"))
         setMetricsEnabled(false);
 
@@ -175,7 +168,6 @@ main(int argc, char **argv)
     opts.logLevel = eo.logLevel;
     opts.progress = args.has("progress") || eo.verbose;
     opts.checkConservation = args.has("check-conservation");
-    opts.profile = args.has("profile");
     opts.shardJobs = static_cast<unsigned>(args.getU64("shard-jobs", 1));
     opts.sparseCounters = args.has("sparse-counters");
     const std::string seedMode = args.getString("seed-mode", "derived");
