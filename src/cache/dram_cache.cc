@@ -88,7 +88,7 @@ DramCache::access(Addr addr, bool write, MemCallback cb)
                              [this, id](const MemRequest &req, Tick done) {
                 complete(id, req, done);
             });
-        });
+        }, EventPriority::Default, EventKind::Cache);
         return;
     }
 
@@ -100,7 +100,7 @@ DramCache::access(Addr addr, bool write, MemCallback cb)
             (entry.tag * numLines_ + index) * cfg_.lineSize;
         eq_.scheduleAfter(cfg_.tagLatency, [this, victimAddr]() {
             mainMem_.access(victimAddr, true);
-        });
+        }, EventPriority::Default, EventKind::Cache);
     }
     entry.valid = true;
     entry.tag = tag;
@@ -116,9 +116,10 @@ DramCache::access(Addr addr, bool write, MemCallback cb)
             complete(id, req, done);
             ++fills_;
             eq_.schedule(done,
-                         [this, line] { dataCtrl_.access(line, true); });
+                         [this, line] { dataCtrl_.access(line, true); },
+                         EventPriority::Default, EventKind::Cache);
         });
-    });
+    }, EventPriority::Default, EventKind::Cache);
 }
 
 } // namespace smartref

@@ -13,6 +13,9 @@ SmartRefreshPolicy::SmartRefreshPolicy(const DramConfig &dramCfg,
                                        EventQueue &eq, StatGroup *parent)
     : RefreshPolicy("refresh.smart", parent),
       org_(dramCfg.org),
+      rowShift_(static_cast<unsigned>(std::countr_zero(org_.rows))),
+      rankShift_(rowShift_ +
+                 static_cast<unsigned>(std::countr_zero(org_.banks))),
       retention_(dramCfg.timing.retention),
       cbrSpacing_(dramCfg.refreshSpacing()),
       cfg_(cfg),
@@ -101,7 +104,7 @@ SmartRefreshPolicy::scheduleStep()
 {
     eq_.scheduleAfter(stagger_->stepInterval(),
                       [this, gen = stepGen_] { doStep(gen); },
-                      EventPriority::ClockTick);
+                      EventPriority::ClockTick, EventKind::Walk);
 }
 
 void
@@ -109,27 +112,33 @@ SmartRefreshPolicy::doStep(std::uint64_t generation)
 {
     if (!countersActive_ || generation != stepGen_)
         return;
+    SMARTREF_ASSERT(deferred_.empty(), "previous step's emits still queued");
     // Expired counters are emitted spread across the step interval (the
     // pending queue dispatches one refresh per sub-slot) so that a step
-    // never slams all banks with simultaneous refreshes.
+    // never slams all banks with simultaneous refreshes: the i-th
+    // expiry goes out i slots from now.
     const Tick slot = stagger_->stepInterval() / stagger_->segments();
     std::uint32_t expired = 0;
     stagger_->step(eq_.now(), [this, &expired, slot](std::uint64_t idx) {
-        const Tick delay = Tick(expired) * slot;
-        ++expired;
-        if (delay == 0) {
+        if (expired++ == 0 || slot == 0) {
             emitSmartRefresh(idx);
-        } else {
-            SMARTREF_AUDIT_RECORD(
-                audit_, eq_.now(),
-                static_cast<std::uint32_t>((idx / org_.rows) / org_.banks),
-                static_cast<std::uint32_t>((idx / org_.rows) % org_.banks),
-                static_cast<std::uint32_t>(idx % org_.rows),
-                AuditOutcome::Deferred, AuditSource::SmartSchedule);
-            eq_.scheduleAfter(delay,
-                              [this, idx] { emitSmartRefresh(idx); });
+            return;
         }
+        const RowCoord c = rowOf(idx);
+        SMARTREF_AUDIT_RECORD(audit_, eq_.now(), c.rank, c.bank, c.row,
+                              AuditOutcome::Deferred,
+                              AuditSource::SmartSchedule);
+        deferred_.pushBack(idx);
     });
+    // One train carries the deferred emits. Nothing schedules between
+    // finding the second expiry and here, so the train's reserved
+    // sequence numbers are exactly those one scheduleAfter per expiry
+    // would have taken during the walk: event order is unchanged.
+    if (!deferred_.empty()) {
+        eq_.scheduleBurst(eq_.now() + slot, slot, deferred_.size(),
+                          [this] { emitSmartRefresh(deferred_.popFront()); },
+                          EventPriority::Default, EventKind::Emit);
+    }
     skippedByCounters_ +=
         static_cast<double>(stagger_->segments() - expired);
     scheduleStep();
@@ -138,11 +147,11 @@ SmartRefreshPolicy::doStep(std::uint64_t generation)
 void
 SmartRefreshPolicy::emitSmartRefresh(std::uint64_t counterIndex)
 {
+    const RowCoord c = rowOf(counterIndex);
     RefreshRequest req;
-    req.row = static_cast<std::uint32_t>(counterIndex % org_.rows);
-    const std::uint64_t rb = counterIndex / org_.rows;
-    req.bank = static_cast<std::uint32_t>(rb % org_.banks);
-    req.rank = static_cast<std::uint32_t>(rb / org_.banks);
+    req.rank = c.rank;
+    req.bank = c.bank;
+    req.row = c.row;
     req.cbr = false;
     req.created = eq_.now();
     ++smartRequested_;
@@ -157,7 +166,7 @@ SmartRefreshPolicy::scheduleCbr()
 {
     eq_.scheduleAfter(cbrSpacing_,
                       [this, gen = cbrGen_] { doCbr(gen); },
-                      EventPriority::ClockTick);
+                      EventPriority::ClockTick, EventKind::PolicyClock);
 }
 
 void
@@ -181,7 +190,7 @@ void
 SmartRefreshPolicy::scheduleWindow()
 {
     eq_.scheduleAfter(retention_, [this] { closeWindow(); },
-                      EventPriority::Stats);
+                      EventPriority::Stats, EventKind::Window);
 }
 
 void
@@ -226,7 +235,7 @@ SmartRefreshPolicy::beginDisable()
         mode_ = Mode::Cbr;
         SMARTREF_TRACE(TraceCategory::Monitor, eq_.now(), "modeCbr", -1,
                        -1, -1, 0.0, 0, "counters off");
-    });
+    }, EventPriority::Default, EventKind::Window);
 }
 
 void
@@ -250,7 +259,7 @@ SmartRefreshPolicy::beginEnable()
         mode_ = Mode::Smart;
         SMARTREF_TRACE(TraceCategory::Monitor, eq_.now(), "modeSmart", -1,
                        -1, -1, 0.0, 0, "cbr off");
-    });
+    }, EventPriority::Default, EventKind::Window);
 }
 
 void

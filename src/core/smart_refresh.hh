@@ -40,6 +40,7 @@
 #include "ctrl/refresh_policy.hh"
 #include "dram/dram_config.hh"
 #include "sim/event_queue.hh"
+#include "sim/ring_queue.hh"
 
 namespace smartref {
 
@@ -161,11 +162,28 @@ class SmartRefreshPolicy : public RefreshPolicy
     void setAudit(RefreshAudit *audit) override;
 
   private:
+    /** Counter of (rank, bank, row): rank-major, banks then rows. */
     std::uint64_t
     counterIndex(std::uint32_t rank, std::uint32_t bank,
                  std::uint32_t row) const
     {
-        return (std::uint64_t(rank) * org_.banks + bank) * org_.rows + row;
+        return (std::uint64_t(rank) << rankShift_) |
+               (std::uint64_t(bank) << rowShift_) | row;
+    }
+
+    /** counterIndex() inverted by shift and mask (power-of-two axes). */
+    struct RowCoord
+    {
+        std::uint32_t rank, bank, row;
+    };
+    RowCoord
+    rowOf(std::uint64_t counterIndex) const
+    {
+        return {static_cast<std::uint32_t>(counterIndex >> rankShift_),
+                static_cast<std::uint32_t>((counterIndex >> rowShift_) &
+                                           (org_.banks - 1)),
+                static_cast<std::uint32_t>(counterIndex &
+                                           (org_.rows - 1))};
     }
 
     void scheduleStep();
@@ -179,6 +197,8 @@ class SmartRefreshPolicy : public RefreshPolicy
     void emitSmartRefresh(std::uint64_t counterIndex);
 
     DramOrganization org_;
+    unsigned rowShift_;  ///< log2(rows)
+    unsigned rankShift_; ///< log2(banks * rows)
     Tick retention_;
     Tick cbrSpacing_;
     SmartRefreshConfig cfg_;
@@ -187,6 +207,12 @@ class SmartRefreshPolicy : public RefreshPolicy
     std::unique_ptr<CounterArray> counters_;
     std::unique_ptr<StaggerScheduler> stagger_;
     PendingRefreshQueue pending_;
+    /**
+     * The current step's deferred expiries, emitted front to back by
+     * one burst train. A train ends within its step interval, so the
+     * ring is empty whenever a step begins.
+     */
+    RingQueue<std::uint64_t> deferred_;
     ActivityMonitor monitor_;
     BusEnergyModel bus_;
     SramEnergyModel sram_;

@@ -39,7 +39,8 @@ SimpleCore::start()
 {
     running_ = true;
     startedAt_ = eq_.now();
-    eq_.scheduleAfter(computeGap_, [this] { executeQuantum(); });
+    eq_.scheduleAfter(computeGap_, [this] { executeQuantum(); },
+                      EventPriority::Default, EventKind::Cpu);
 }
 
 double
@@ -64,7 +65,8 @@ SimpleCore::executeQuantum()
         // Stores post into an ideal store buffer: no stall.
         ++stores_;
         port_(access.addr, true, [](Tick) {});
-        eq_.scheduleAfter(computeGap_, [this] { executeQuantum(); });
+        eq_.scheduleAfter(computeGap_, [this] { executeQuantum(); },
+                          EventPriority::Default, EventKind::Cpu);
         return;
     }
 
@@ -75,7 +77,8 @@ SimpleCore::executeQuantum()
         // Resume computing after the data arrives.
         const Tick resumeAt = std::max(done, eq_.now());
         eq_.schedule(resumeAt + computeGap_,
-                     [this] { executeQuantum(); });
+                     [this] { executeQuantum(); }, EventPriority::Default,
+                     EventKind::Cpu);
     });
 }
 

@@ -18,7 +18,7 @@ BurstRefreshPolicy::start()
     SMARTREF_ASSERT(ctrl_ != nullptr, "policy not bound to a controller");
     const Tick retention = ctrl_->dram().config().timing.retention;
     eq_.scheduleAfter(retention, [this] { burst(); },
-                      EventPriority::ClockTick);
+                      EventPriority::ClockTick, EventKind::PolicyClock);
 }
 
 void
@@ -41,7 +41,8 @@ BurstRefreshPolicy::burst()
         }
     }
     eq_.scheduleAfter(ctrl_->dram().config().timing.retention,
-                      [this] { burst(); }, EventPriority::ClockTick);
+                      [this] { burst(); }, EventPriority::ClockTick,
+                      EventKind::PolicyClock);
 }
 
 } // namespace smartref

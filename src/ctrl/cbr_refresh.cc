@@ -18,7 +18,7 @@ CbrRefreshPolicy::start()
     SMARTREF_ASSERT(ctrl_ != nullptr, "policy not bound to a controller");
     spacing_ = ctrl_->dram().config().refreshSpacing();
     eq_.scheduleAfter(spacing_, [this] { step(); },
-                      EventPriority::ClockTick);
+                      EventPriority::ClockTick, EventKind::PolicyClock);
 }
 
 void
@@ -35,7 +35,7 @@ CbrRefreshPolicy::step()
     ctrl_->pushRefresh(req);
 
     eq_.scheduleAfter(spacing_, [this] { step(); },
-                      EventPriority::ClockTick);
+                      EventPriority::ClockTick, EventKind::PolicyClock);
 }
 
 } // namespace smartref

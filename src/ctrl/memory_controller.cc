@@ -1,5 +1,6 @@
 #include "ctrl/memory_controller.hh"
 
+#include <bit>
 #include <utility>
 
 #include "ctrl/refresh_audit.hh"
@@ -19,6 +20,8 @@ MemoryController::MemoryController(DramModule &dram, EventQueue &eq,
       mapper_(dram.config().org, cfg.scheme),
       engines_(std::size_t(dram.config().org.ranks) *
                dram.config().org.banks),
+      bankShift_(static_cast<unsigned>(
+          std::countr_zero(dram.config().org.banks))),
       cbrMirror_(dram.config().org.ranks, 0),
       reads_(this, "demandReads", "demand read transactions"),
       writes_(this, "demandWrites", "demand write transactions"),
@@ -75,9 +78,7 @@ MemoryController::access(Addr addr, bool write, MemCallback cb)
 
     const std::size_t idx = engineIndex(item.coord.rank, item.coord.bank);
     engines_[idx].predictor.recordDemand(eq_.now());
-    noteEngineActivated(engines_[idx]);
-    engines_[idx].queue.pushBack(std::move(item));
-    kick(idx);
+    submit(idx, std::move(item));
 }
 
 void
@@ -125,7 +126,8 @@ MemoryController::pushRefresh(const RefreshRequest &req)
             ++heldRefreshes_;
             engine.heldRefresh.pushBack(std::move(item));
             eq_.scheduleAfter(cfg_.darpDeferWindow,
-                              [this, idx] { forceHeld(idx); });
+                              [this, idx] { forceHeld(idx); },
+                              EventPriority::Default, EventKind::Darp);
             // Quiet bank held back only by the predictor: re-check
             // after an idle window instead of waiting for the drain
             // hook (which needs demand) or the defer deadline.
@@ -136,10 +138,7 @@ MemoryController::pushRefresh(const RefreshRequest &req)
         item.darpOutcome =
             static_cast<int>(AuditOutcome::DarpIdleIssued);
     }
-
-    noteEngineActivated(engine);
-    engine.queue.pushBack(std::move(item));
-    kick(idx);
+    submit(idx, std::move(item));
 }
 
 void
@@ -162,7 +161,7 @@ MemoryController::armHeldDispatch(std::size_t engineIdx)
         if (e.busy || !e.queue.empty() || e.activityGen != gen)
             return;
         tryDispatchHeld(engineIdx);
-    });
+    }, EventPriority::Default, EventKind::Darp);
 }
 
 void
@@ -180,9 +179,7 @@ MemoryController::tryDispatchHeld(std::size_t engineIdx)
             engine.lastWasWrite ? AuditOutcome::DarpPiggybacked
                                 : AuditOutcome::DarpIdleIssued);
         ++stallsAvoided_;
-        noteEngineActivated(engine);
-        engine.queue.pushBack(std::move(item));
-        kick(engineIdx);
+        submit(engineIdx, std::move(item));
     }
 }
 
@@ -203,7 +200,8 @@ MemoryController::forceHeld(std::size_t engineIdx)
     }
     if (expired.empty())
         return;
-    noteEngineActivated(engine);
+    if (!engine.busy && engine.queue.empty())
+        ++activeEngines_;
     // Jump ahead of queued demand: these refreshes are out of slack.
     for (auto it = expired.rbegin(); it != expired.rend(); ++it)
         engine.queue.pushFront(std::move(*it));
@@ -232,10 +230,21 @@ MemoryController::maybeCancelHeld(const Item &item)
 }
 
 void
-MemoryController::noteEngineActivated(const Engine &engine)
+MemoryController::submit(std::size_t engineIdx, Item &&item)
 {
-    if (!engine.busy && engine.queue.empty())
-        ++activeEngines_;
+    Engine &engine = engines_[engineIdx];
+    if (engine.busy) {
+        engine.queue.pushBack(std::move(item));
+        return;
+    }
+    // An idle engine's queue is empty (kick() drains it whenever the
+    // engine frees), so the item starts in place without a ring trip.
+    SMARTREF_ASSERT(engine.queue.empty(), "idle engine holds queued work");
+    ++activeEngines_;
+    engine.busy = true;
+    ++engine.activityGen;
+    engine.current = std::move(item);
+    startItem(engineIdx);
 }
 
 bool
@@ -321,10 +330,8 @@ MemoryController::armIdlePrecharge(std::size_t engineIdx)
     if (cfg_.idlePrechargeAfter == 0)
         return;
     Engine &engine = engines_[engineIdx];
-    const std::uint32_t rank = static_cast<std::uint32_t>(
-        engineIdx / dram_.config().org.banks);
-    const std::uint32_t bank = static_cast<std::uint32_t>(
-        engineIdx % dram_.config().org.banks);
+    const std::uint32_t rank = engineRank(engineIdx);
+    const std::uint32_t bank = engineBank(engineIdx);
     if (!dram_.isBankOpen(rank, bank))
         return;
     engine.idleDeadline = eq_.now() + cfg_.idlePrechargeAfter;
@@ -341,7 +348,8 @@ MemoryController::queueIdleTimer(std::size_t engineIdx)
     engine.idleTimerQueued = true;
     engine.queuedSeq = engine.idleSeq;
     eq_.scheduleReserved(engine.idleDeadline, engine.idleSeq,
-                         [this, engineIdx] { onIdleTimer(engineIdx); });
+                         [this, engineIdx] { onIdleTimer(engineIdx); },
+                         EventPriority::Default, EventKind::IdleTimer);
 }
 
 void
@@ -357,14 +365,12 @@ MemoryController::onIdleTimer(std::size_t engineIdx)
     if (engine.busy || !engine.queue.empty() ||
         engine.activityGen != engine.idleGen)
         return;
-    const std::uint32_t rank = static_cast<std::uint32_t>(
-        engineIdx / dram_.config().org.banks);
-    const std::uint32_t bank = static_cast<std::uint32_t>(
-        engineIdx % dram_.config().org.banks);
+    const std::uint32_t rank = engineRank(engineIdx);
+    const std::uint32_t bank = engineBank(engineIdx);
     if (!dram_.isBankOpen(rank, bank))
         return;
 
-    noteEngineActivated(engine);
+    ++activeEngines_;
     engine.busy = true;
     ++engine.activityGen;
     engine.closingRow = dram_.openRow(rank, bank);
@@ -391,7 +397,8 @@ MemoryController::issuePending(std::size_t engineIdx)
     if (earliest > eq_.now()) {
         // Constraints may move while we wait; re-check then.
         eq_.schedule(earliest,
-                     [this, engineIdx] { issuePending(engineIdx); });
+                     [this, engineIdx] { issuePending(engineIdx); },
+                     EventPriority::Default, EventKind::IssueRetry);
         return;
     }
     // Observe the bank's row state immediately before the device
@@ -502,7 +509,8 @@ MemoryController::finishDemand(std::size_t engineIdx, Tick done)
     if (item.cb) {
         // Deliver the completion at the tick the data arrives.
         eq_.schedule(done, [req = item.req, cb = std::move(item.cb),
-                            done]() { cb(req, done); });
+                            done]() { cb(req, done); },
+                     EventPriority::Default, EventKind::Completion);
     }
     // The engine frees as soon as the column command has issued; the
     // device enforces all remaining burst/recovery timing.

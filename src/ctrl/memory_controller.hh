@@ -224,10 +224,22 @@ class MemoryController : public StatGroup
         ///@}
     };
 
+    /** Engines are rank-major; banks per rank is a power of two. */
     std::size_t
     engineIndex(std::uint32_t rank, std::uint32_t bank) const
     {
-        return std::size_t(rank) * dram_.config().org.banks + bank;
+        return (std::size_t(rank) << bankShift_) | bank;
+    }
+    std::uint32_t
+    engineRank(std::size_t engineIdx) const
+    {
+        return static_cast<std::uint32_t>(engineIdx >> bankShift_);
+    }
+    std::uint32_t
+    engineBank(std::size_t engineIdx) const
+    {
+        return static_cast<std::uint32_t>(
+            engineIdx & ((std::size_t(1) << bankShift_) - 1));
     }
 
     void kick(std::size_t engineIdx);
@@ -255,8 +267,11 @@ class MemoryController : public StatGroup
     void queueIdleTimer(std::size_t engineIdx);
     /** Close the idle page, unless the engine saw activity since. */
     void onIdleTimer(std::size_t engineIdx);
-    /** Bump activeEngines_ if `engine` is about to gain its first work. */
-    void noteEngineActivated(const Engine &engine);
+    /**
+     * Hand `item` to an engine: an idle engine starts it in place, a
+     * busy one queues it behind its current work.
+     */
+    void submit(std::size_t engineIdx, Item &&item);
 
     /** Make `cmd` the engine's pending command and try to issue it. */
     void issue(std::size_t engineIdx, Step step, const DramCommand &cmd);
@@ -285,6 +300,8 @@ class MemoryController : public StatGroup
     RefreshAudit *audit_ = nullptr;
 
     std::vector<Engine> engines_;
+    /** log2(banks per rank): engine index = rank << bankShift_ | bank. */
+    unsigned bankShift_ = 0;
     /**
      * Mirror of each rank's CBR counter. Refreshes may issue out of the
      * device's internal-counter order once routed to per-bank engines, so

@@ -39,7 +39,7 @@ PerBankRefreshPolicy::start()
             w.nextRow = 0;
             w.nextDue = spacing_ + Tick(idx) * offsetStep;
             eq_.schedule(w.nextDue, [this, idx] { step(idx); },
-                         EventPriority::ClockTick);
+                         EventPriority::ClockTick, EventKind::PolicyClock);
         }
     }
 }
@@ -64,7 +64,7 @@ PerBankRefreshPolicy::step(std::size_t walkerIdx)
 
     w.nextDue += spacing_;
     eq_.schedule(w.nextDue, [this, walkerIdx] { step(walkerIdx); },
-                 EventPriority::ClockTick);
+                 EventPriority::ClockTick, EventKind::PolicyClock);
 }
 
 void

@@ -21,7 +21,7 @@ RasOnlyRefreshPolicy::start()
     SMARTREF_ASSERT(ctrl_ != nullptr, "policy not bound to a controller");
     spacing_ = ctrl_->dram().config().refreshSpacing();
     eq_.scheduleAfter(spacing_, [this] { step(); },
-                      EventPriority::ClockTick);
+                      EventPriority::ClockTick, EventKind::PolicyClock);
 }
 
 void
@@ -45,7 +45,7 @@ RasOnlyRefreshPolicy::step()
     ctrl_->pushRefresh(req);
 
     eq_.scheduleAfter(spacing_, [this] { step(); },
-                      EventPriority::ClockTick);
+                      EventPriority::ClockTick, EventKind::PolicyClock);
 }
 
 void

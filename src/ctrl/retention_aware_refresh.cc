@@ -32,7 +32,7 @@ RetentionAwarePolicy::start()
     retention_ = cfg.timing.retention;
     due_.assign(cfg.org.totalRows(), 0); // first pass refreshes all
     eq_.scheduleAfter(spacing_, [this] { step(); },
-                      EventPriority::ClockTick);
+                      EventPriority::ClockTick, EventKind::PolicyClock);
 }
 
 void
@@ -75,7 +75,7 @@ RetentionAwarePolicy::step()
     }
 
     eq_.scheduleAfter(spacing_, [this] { step(); },
-                      EventPriority::ClockTick);
+                      EventPriority::ClockTick, EventKind::PolicyClock);
 }
 
 void

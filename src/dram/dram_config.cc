@@ -13,6 +13,12 @@ DramConfig::validate() const
     }
     if (org.dataWidthBits % org.deviceWidthBits != 0)
         SMARTREF_FATAL("config '", name, "': width not a device multiple");
+    // Engine, CBR-target and retention-shadow decodes split indices
+    // by shift and mask, so every geometry axis is a power of two.
+    if ((org.ranks & (org.ranks - 1)) != 0)
+        SMARTREF_FATAL("config '", name, "': ranks must be a power of two");
+    if ((org.banks & (org.banks - 1)) != 0)
+        SMARTREF_FATAL("config '", name, "': banks must be a power of two");
     if ((org.rows & (org.rows - 1)) != 0)
         SMARTREF_FATAL("config '", name, "': rows must be a power of two");
     if ((org.columns & (org.columns - 1)) != 0)

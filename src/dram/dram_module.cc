@@ -46,12 +46,18 @@ DramModule::DramModule(const DramConfig &cfg, EventQueue &eq,
 }
 
 void
-DramModule::checkAddress(const DramCommand &cmd) const
+DramModule::checkBank(const DramCommand &cmd) const
 {
     SMARTREF_ASSERT(cmd.rank < cfg_.org.ranks, "rank ", cmd.rank,
                     " out of range");
     SMARTREF_ASSERT(cmd.bank < cfg_.org.banks, "bank ", cmd.bank,
                     " out of range");
+}
+
+void
+DramModule::checkAddress(const DramCommand &cmd) const
+{
+    checkBank(cmd);
     SMARTREF_ASSERT(cmd.row < cfg_.org.rows, "row ", cmd.row,
                     " out of range");
     SMARTREF_ASSERT(cmd.column < cfg_.org.columns, "column ", cmd.column,
@@ -84,6 +90,7 @@ DramModule::earliestRefresh(const Rank &rank, std::uint32_t bankIdx,
 Tick
 DramModule::earliestIssue(const DramCommand &cmd) const
 {
+    checkBank(cmd);
     const Rank &rank = ranks_[cmd.rank];
     const Bank &bank = rank.bank(cmd.bank);
 
@@ -136,6 +143,9 @@ DramModule::earliestIssue(const DramCommand &cmd) const
 Tick
 DramModule::issue(const DramCommand &cmd)
 {
+    // Every command type, precharge included, is range-checked before
+    // anything is indexed by it.
+    checkAddress(cmd);
     const Tick now = eq_.now();
     Rank &rank = ranks_[cmd.rank];
     const Tick earliest = earliestIssue(cmd);
@@ -146,7 +156,6 @@ DramModule::issue(const DramCommand &cmd)
 
     switch (cmd.type) {
       case DramCommandType::Activate: {
-        checkAddress(cmd);
         Bank &bank = rank.bank(cmd.bank);
         SMARTREF_ASSERT(!bank.isOpen(), "ACT into open bank");
         retention_.onActivate(cmd.rank, cmd.bank, cmd.row, now);
@@ -176,7 +185,6 @@ DramModule::issue(const DramCommand &cmd)
       }
       case DramCommandType::Read:
       case DramCommandType::Write: {
-        checkAddress(cmd);
         Bank &bank = rank.bank(cmd.bank);
         SMARTREF_ASSERT(bank.isOpen() && bank.openRow() == cmd.row,
                         "column access to row ", cmd.row,
@@ -215,7 +223,6 @@ DramModule::issue(const DramCommand &cmd)
         return issueRefresh(cmd.rank, b, row, false);
       }
       case DramCommandType::RefreshRasOnly: {
-        checkAddress(cmd);
         ++rasRefs_;
         return issueRefresh(cmd.rank, cmd.bank, cmd.row, true);
       }

@@ -164,6 +164,9 @@ class DramModule : public StatGroup
         return static_cast<std::uint64_t>(s.value());
     }
 
+    /** Fatal unless cmd's rank and bank exist. */
+    void checkBank(const DramCommand &cmd) const;
+    /** checkBank() plus the row and column. */
     void checkAddress(const DramCommand &cmd) const;
     void integrateBackground(Rank &rank, Tick upTo);
     Tick issueRefresh(std::uint32_t rankIdx, std::uint32_t bankIdx,

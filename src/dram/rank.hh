@@ -6,11 +6,13 @@
 
 #pragma once
 
+#include <bit>
 #include <cstdint>
 #include <vector>
 
 #include "dram/bank.hh"
 #include "dram/dram_config.hh"
+#include "sim/logging.hh"
 #include "sim/types.hh"
 
 namespace smartref {
@@ -20,8 +22,13 @@ class Rank
 {
   public:
     explicit Rank(const DramOrganization &org)
-        : banks_(org.banks), banksPerRank_(org.banks), rows_(org.rows)
+        : banks_(org.banks), banksPerRank_(org.banks),
+          bankShift_(static_cast<unsigned>(std::countr_zero(org.banks))),
+          rowMask_(org.rows - 1)
     {
+        SMARTREF_ASSERT(std::has_single_bit(org.banks) &&
+                            std::has_single_bit(org.rows),
+                        "banks and rows must be powers of two");
         for (Bank &b : banks_)
             b.configureSubarrays(org.subarraysPerBank);
     }
@@ -98,9 +105,9 @@ class Rank
     {
         const std::uint64_t idx = cbrCounter_ + lookahead;
         const std::uint32_t bank =
-            static_cast<std::uint32_t>(idx % banksPerRank_);
+            static_cast<std::uint32_t>(idx & (banksPerRank_ - 1));
         const std::uint32_t row =
-            static_cast<std::uint32_t>((idx / banksPerRank_) % rows_);
+            static_cast<std::uint32_t>((idx >> bankShift_) & rowMask_);
         return {bank, row};
     }
 
@@ -109,7 +116,8 @@ class Rank
   private:
     std::vector<Bank> banks_;
     std::uint32_t banksPerRank_;
-    std::uint32_t rows_;
+    unsigned bankShift_;    ///< log2(banksPerRank_)
+    std::uint64_t rowMask_; ///< rows - 1
     Tick nextActAllowed_ = 0;
     Tick lastBusyEnd_ = 0;
     Tick powerIntegratedTo_ = 0;

@@ -1,5 +1,7 @@
 #include "dram/retention_tracker.hh"
 
+#include <bit>
+
 #include "sim/logging.hh"
 
 namespace smartref {
@@ -8,7 +10,10 @@ RetentionTracker::RetentionTracker(std::uint32_t ranks, std::uint32_t banks,
                                    std::uint32_t rows, Tick retention,
                                    Tick slack, StatGroup *parent)
     : StatGroup("retention", parent),
-      ranks_(ranks), banks_(banks), rows_(rows),
+      rows_(rows),
+      bankShift_(static_cast<std::uint32_t>(std::countr_zero(banks))),
+      rowShift_(static_cast<std::uint32_t>(std::countr_zero(ranks)) +
+                bankShift_),
       retention_(retention), slack_(slack),
       lastRestore_(std::uint64_t(ranks) * banks * rows, 0),
       violationCount_(this, "violations",
@@ -16,6 +21,8 @@ RetentionTracker::RetentionTracker(std::uint32_t ranks, std::uint32_t banks,
       checksPerformed_(this, "checks", "charge-age checks performed")
 {
     SMARTREF_ASSERT(retention_ > 0, "zero retention limit");
+    SMARTREF_ASSERT(std::has_single_bit(ranks) && std::has_single_bit(banks),
+                    "ranks and banks must be powers of two");
 }
 
 void
@@ -25,7 +32,14 @@ RetentionTracker::applyClassMultipliers(
     SMARTREF_ASSERT(m.size() == lastRestore_.size(),
                     "class map covers ", m.size(), " rows, module has ",
                     lastRestore_.size());
-    multipliers_ = m;
+    multipliers_.resize(m.size());
+    const std::uint32_t banks = 1u << bankShift_;
+    const std::uint32_t ranks = 1u << (rowShift_ - bankShift_);
+    std::uint64_t flat = 0;
+    for (std::uint32_t r = 0; r < ranks; ++r)
+        for (std::uint32_t b = 0; b < banks; ++b)
+            for (std::uint32_t row = 0; row < rows_; ++row)
+                multipliers_[index(r, b, row)] = m[flat++];
 }
 
 void

@@ -15,6 +15,11 @@
  * A small configurable slack absorbs the bounded dispatch latency of the
  * pending-refresh queue (at most queue-depth row-refresh times plus one
  * in-flight data burst, i.e. well under the default 20 us).
+ *
+ * Rows are stored bank-interleaved, entry row*ranks*banks + rank*banks
+ * + bank, so the refresh walks — CBR's banks-first counter and the
+ * staggered Smart walk, which emits one row per bank in turn — touch
+ * adjacent entries instead of one cache line per bank.
  */
 
 #pragma once
@@ -65,7 +70,7 @@ class RetentionTracker : public StatGroup
      * Apply per-row retention multipliers (RAPID-style classes): row
      * `idx`'s deadline becomes multipliers[idx] x the nominal limit.
      * The vector is indexed by flat (rank, bank, row) order and must
-     * cover every row.
+     * cover every row; it is stored in the tracker's interleaved order.
      */
     void applyClassMultipliers(const std::vector<std::uint8_t> &m);
 
@@ -98,10 +103,12 @@ class RetentionTracker : public StatGroup
     Tick retentionLimit() const { return retention_; }
 
   private:
+    /** Bank-interleaved entry of a row (ranks, banks powers of two). */
     std::uint64_t
     index(std::uint32_t rank, std::uint32_t bank, std::uint32_t row) const
     {
-        return (std::uint64_t(rank) * banks_ + bank) * rows_ + row;
+        return (std::uint64_t(row) << rowShift_) |
+               (std::uint64_t(rank) << bankShift_) | bank;
     }
 
     void check(std::uint64_t idx, Tick now, bool isRefresh);
@@ -113,7 +120,10 @@ class RetentionTracker : public StatGroup
                                     : retention_ * multipliers_[idx];
     }
 
-    std::uint32_t ranks_, banks_, rows_;
+    /** The geometry; ranks and banks are powers of two. */
+    std::uint32_t rows_;
+    std::uint32_t bankShift_; ///< log2(banks)
+    std::uint32_t rowShift_;  ///< log2(ranks * banks)
     Tick retention_;
     Tick slack_;
     std::vector<Tick> lastRestore_;

@@ -7,6 +7,17 @@
 
 namespace smartref {
 
+namespace {
+
+/** make(1)-style worker count: "-j8", or "-j" followed by "8". */
+bool
+isJobsFlag(const std::string &arg)
+{
+    return arg.rfind("-j", 0) == 0;
+}
+
+} // namespace
+
 bool
 helpRequested(int argc, char **argv)
 {
@@ -22,8 +33,7 @@ CliArgs::CliArgs(int argc, char **argv)
 {
     for (int i = 1; i < argc; ++i) {
         std::string arg = argv[i];
-        // make(1)-style worker count: "-j8", or "-j 8".
-        if (arg.rfind("-j", 0) == 0 && arg.rfind("--", 0) != 0) {
+        if (isJobsFlag(arg)) {
             std::string count = arg.substr(2);
             if (count.empty() && i + 1 < argc &&
                 std::string(argv[i + 1]).rfind("-", 0) != 0)
@@ -35,11 +45,12 @@ CliArgs::CliArgs(int argc, char **argv)
             SMARTREF_FATAL("unexpected argument '", arg,
                            "' (flags are --key [value])");
         arg = arg.substr(2);
-        if (i + 1 < argc && std::string(argv[i + 1]).rfind("--", 0) != 0) {
-            values_[arg] = argv[++i];
-        } else {
-            values_[arg] = "";
-        }
+        // The next token is this flag's value unless it is another flag;
+        // a boolean flag must not swallow a following "-j N".
+        const bool hasValue = i + 1 < argc &&
+                              std::string(argv[i + 1]).rfind("--", 0) != 0 &&
+                              !isJobsFlag(argv[i + 1]);
+        values_[arg] = hasValue ? argv[++i] : "";
     }
 }
 

@@ -80,7 +80,7 @@ CpuSystem::addCore(const CoreParams &core, const WorkloadParams &pattern)
             const auto op = r.memOps[i];
             eq_.schedule(issueAt, [this, op] {
                 ctrl_->access(op.addr, op.write);
-            });
+            }, EventPriority::Default, EventKind::Cpu);
         }
         const Addr demandAddr = r.memOps.front().addr;
         eq_.schedule(issueAt,
@@ -89,7 +89,7 @@ CpuSystem::addCore(const CoreParams &core, const WorkloadParams &pattern)
                           [done](const MemRequest &, Tick completion) {
                 done(completion);
             });
-        });
+        }, EventPriority::Default, EventKind::Cpu);
     };
 
     cores_.push_back(std::make_unique<SimpleCore>(

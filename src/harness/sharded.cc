@@ -95,14 +95,15 @@ ShardedSystem::run(Tick duration)
         // run identical to a plain System: System::run() integrates
         // background energy at the end of every slice.
         runSlice(duration);
-        return;
+    } else {
+        Tick advanced = 0;
+        while (advanced < duration) {
+            const Tick step = std::min<Tick>(epoch_, duration - advanced);
+            runSlice(step);
+            advanced += step;
+        }
     }
-    Tick advanced = 0;
-    while (advanced < duration) {
-        const Tick step = std::min<Tick>(epoch_, duration - advanced);
-        runSlice(step);
-        advanced += step;
-    }
+    publishEventCounts(eventsByKind(), publishedEvents_);
 }
 
 void
@@ -150,6 +151,18 @@ ShardedSystem::eventsExecuted() const
     for (const Shard &s : shards_)
         n += s.sys->eventQueue().executed();
     return n;
+}
+
+EventCounts
+ShardedSystem::eventsByKind() const
+{
+    EventCounts sum{};
+    for (const Shard &s : shards_) {
+        const EventCounts &c = s.sys->eventQueue().executedByKind();
+        for (std::size_t k = 0; k < kEventKinds; ++k)
+            sum[k] += c[k];
+    }
+    return sum;
 }
 
 std::size_t

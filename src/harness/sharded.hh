@@ -157,6 +157,9 @@ class ShardedSystem
     /** Advance every channel by `step` (one lock-step epoch). */
     void runSlice(Tick step);
 
+    /** Per-kind executed events summed over channels. */
+    EventCounts eventsByKind() const;
+
     SystemConfig cfg_;
     std::uint32_t channels_;
     Tick epoch_;
@@ -164,6 +167,8 @@ class ShardedSystem
     std::vector<Shard> shards_;
     /** Per-channel wall of the current slice (metrics timing only). */
     std::vector<std::int64_t> channelNs_;
+    /** eventsByKind() as last added to the sim.events.* metrics. */
+    EventCounts publishedEvents_{};
     bool merged_ = false;
 };
 

@@ -68,6 +68,7 @@ ThreeDSystem::run(Tick duration)
     mainDram_->finalize();
     if (smartPolicy_)
         smartPolicy_->syncEnergyStats();
+    publishEventCounts(eq_.executedByKind(), publishedEvents_);
 }
 
 } // namespace smartref

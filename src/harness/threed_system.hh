@@ -92,6 +92,8 @@ class ThreeDSystem : public StatGroup
     SmartRefreshPolicy *smartPolicy_ = nullptr;
     std::vector<std::unique_ptr<WorkloadModel>> workloads_;
     bool started_ = false;
+    /** eq_'s per-kind counts as last added to the sim.events.* metrics. */
+    EventCounts publishedEvents_{};
 };
 
 } // namespace smartref

@@ -2,11 +2,74 @@
 
 #include <algorithm>
 #include <limits>
+#include <numeric>
 #include <utility>
 
 #include "sim/logging.hh"
+#include "sim/metrics.hh"
 
 namespace smartref {
+
+const char *
+toString(EventKind kind)
+{
+    switch (kind) {
+      case EventKind::Other: return "other";
+      case EventKind::Walk: return "walk";
+      case EventKind::Emit: return "emit";
+      case EventKind::PolicyClock: return "policy_clock";
+      case EventKind::IssueRetry: return "issue_retry";
+      case EventKind::IdleTimer: return "idle_timer";
+      case EventKind::Darp: return "darp";
+      case EventKind::Completion: return "completion";
+      case EventKind::Workload: return "workload";
+      case EventKind::Cache: return "cache";
+      case EventKind::Cpu: return "cpu";
+      case EventKind::Window: return "window";
+    }
+    return "?";
+}
+
+void
+publishEventCounts(const EventCounts &counts, EventCounts &published)
+{
+    if (!metricsEnabled())
+        return;
+    static const std::array<MetricCounter *, kEventKinds> handles = [] {
+        std::array<MetricCounter *, kEventKinds> h{};
+        for (std::size_t k = 0; k < kEventKinds; ++k) {
+            h[k] = &globalMetrics().counter(
+                std::string("sim.events.") +
+                toString(static_cast<EventKind>(k)));
+        }
+        return h;
+    }();
+    for (std::size_t k = 0; k < kEventKinds; ++k) {
+        if (counts[k] != published[k])
+            handles[k]->add(counts[k] - published[k]);
+    }
+    published = counts;
+}
+
+std::uint64_t
+EventQueue::executed() const
+{
+    return std::accumulate(kindCounts_.begin(), kindCounts_.end(),
+                           std::uint64_t(0));
+}
+
+std::uint32_t
+EventQueue::growSlab()
+{
+    SMARTREF_ASSERT(slotsUsed_ < std::numeric_limits<std::uint32_t>::max(),
+                    "event slot space exhausted");
+    if ((slotsUsed_ & kSlabMask) == 0) {
+        slab_.push_back(
+            std::make_unique_for_overwrite<Slot[]>(std::size_t(1)
+                                                   << kSlabShift));
+    }
+    return slotsUsed_++;
+}
 
 void
 EventQueue::insert(Node n)
@@ -31,36 +94,38 @@ EventQueue::insert(Node n)
 }
 
 void
-EventQueue::scheduleSlot(Tick when, std::uint64_t seq, std::uint32_t slot,
-                         EventPriority prio)
+EventQueue::scheduleSlot(Tick when, std::uint64_t seq,
+                         std::uint32_t slotIdx, EventPriority prio)
 {
     SMARTREF_ASSERT(when >= now_, "scheduling into the past: ", when,
                     " < now ", now_);
     SMARTREF_ASSERT(seq < seq_, "sequence number ", seq,
                     " was never reserved");
     ++pendingCount_;
-    insert(Node{when, seq, static_cast<std::int32_t>(prio), slot});
+    insert(Node{when, seq, static_cast<std::int32_t>(prio), slotIdx});
 }
 
 void
 EventQueue::burstSlot(Tick first, Tick interval, std::uint64_t count,
-                      std::uint32_t slot, EventPriority prio)
+                      std::uint32_t slotIdx, EventPriority prio)
 {
     SMARTREF_ASSERT(first >= now_, "scheduling into the past: ", first,
                     " < now ", now_);
     SMARTREF_ASSERT(count > 0, "empty burst");
     SMARTREF_ASSERT(count == 1 || interval > 0,
                     "multi-occurrence burst needs a positive interval");
-    Slot &s = slots_[slot];
+    SMARTREF_ASSERT(count <= std::numeric_limits<std::uint32_t>::max(),
+                    "burst of ", count, " occurrences is too long");
+    Slot &s = slot(slotIdx);
     s.interval = interval;
-    s.remaining = count;
+    s.remaining = static_cast<std::uint32_t>(count);
     // Reserve the whole train's sequence numbers now so later schedules
     // interleave with every occurrence exactly as if each had been
     // scheduled here individually.
     const std::uint64_t seq = seq_;
     seq_ += count;
     pendingCount_ += count;
-    insert(Node{first, seq, static_cast<std::int32_t>(prio), slot});
+    insert(Node{first, seq, static_cast<std::int32_t>(prio), slotIdx});
 }
 
 EventQueue::Node
@@ -78,11 +143,11 @@ void
 EventQueue::execute(Node n)
 {
     now_ = n.when;
-    ++executed_;
     --pendingCount_;
-    Slot &s = slots_[n.slot];
-    // Invoke in place: the deque slab never relocates a live slot, even
-    // if the callback schedules (and grows the slab) reentrantly.
+    Slot &s = slot(n.slot);
+    ++kindCounts_[static_cast<std::size_t>(s.kind)];
+    // Invoke in place: slab blocks never move, so the slot stays valid
+    // even if the callback schedules (and grows the slab) reentrantly.
     s.cb();
     if (s.remaining > 1) {
         --s.remaining;

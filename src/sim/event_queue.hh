@@ -14,11 +14,12 @@
  *    sift operations move only these, never the callbacks. The 4-ary
  *    shape halves the tree depth of a binary heap and puts all four
  *    children of a node in one or two cache lines.
- *  - Callbacks live in a slab (a deque, so growth never relocates a
- *    live callback) of InlineFunction slots recycled through a free
- *    list: scheduling an event performs no heap allocation for any
- *    capture up to the inline capacity — which covers every capture in
- *    this codebase.
+ *  - Callbacks live in a slab of InlineFunction slots recycled through
+ *    a free list: scheduling an event performs no heap allocation for
+ *    any capture up to the inline capacity — which covers every capture
+ *    in this codebase. The slab is a list of fixed power-of-two blocks,
+ *    so a slot index splits into (block, offset) by shift and mask and
+ *    growth never relocates a live callback.
  *  - A one-entry "next" buffer holds the earliest pending event when it
  *    is scheduled earlier than everything in the heap. The common
  *    self-rescheduling pattern (a clock-like event that re-arms itself
@@ -35,13 +36,17 @@
  *    arms a timer and queues the event under it later, so a timer that
  *    is re-armed many times before it fires needs one queued event
  *    instead of one per arm.
+ *  - Every slot carries a one-byte EventKind, and dispatch bumps that
+ *    kind's counter: the per-kind execution counts are exact and cost
+ *    one increment per event (no host-time sampling).
  */
 
 #pragma once
 
+#include <array>
 #include <cstdint>
-#include <deque>
 #include <limits>
+#include <memory>
 #include <vector>
 
 #include "sim/inline_function.hh"
@@ -55,6 +60,45 @@ enum class EventPriority : int {
     Default = 10,    ///< ordinary component callbacks
     Stats = 100,     ///< end-of-window statistics sampling
 };
+
+/**
+ * What an event does. Each scheduling site names its kind so a run can
+ * say which mechanism its events went to (sim.events.<kind> metrics);
+ * the kind never affects ordering.
+ */
+enum class EventKind : std::uint8_t {
+    Other,       ///< untagged (unit tests, examples)
+    Walk,        ///< Smart Refresh staggered counter-walk step
+    Emit,        ///< a walk step's deferred refresh emits
+    PolicyClock, ///< CBR / RAS-only / per-bank / burst refresh tick
+    IssueRetry,  ///< a bank engine re-checking its blocked command
+    IdleTimer,   ///< idle-precharge timer
+    Darp,        ///< DARP held-refresh dispatch and defer deadline
+    Completion,  ///< demand completion callback
+    Workload,    ///< synthetic workload visits and access trains
+    Cache,       ///< 3D DRAM cache tag and fill steps
+    Cpu,         ///< CPU model quanta and memory operations
+    Window,      ///< monitor windows, mode overlaps, interval samples
+};
+
+/** Number of EventKind values (Window is the last). */
+inline constexpr std::size_t kEventKinds =
+    static_cast<std::size_t>(EventKind::Window) + 1;
+
+/** Executed events per kind, indexed by EventKind. */
+using EventCounts = std::array<std::uint64_t, kEventKinds>;
+
+/** Metric-name form of a kind ("walk", "policy_clock", ...). */
+const char *toString(EventKind kind);
+
+/**
+ * Add `counts - published` to the metrics-registry counters
+ * sim.events.<kind>, then set `published = counts`. Called at the end
+ * of a system's run() so the registry carries cumulative per-kind
+ * counts; a no-op while metrics are disabled. Metrics are a sidecar:
+ * no deterministic output reads them.
+ */
+void publishEventCounts(const EventCounts &counts, EventCounts &published);
 
 /**
  * The global event queue for one simulation.
@@ -94,18 +138,21 @@ class EventQueue
     template <typename F>
     void
     schedule(Tick when, F &&f,
-             EventPriority prio = EventPriority::Default)
+             EventPriority prio = EventPriority::Default,
+             EventKind kind = EventKind::Other)
     {
-        scheduleSlot(when, seq_++, allocSlotFor(std::forward<F>(f)), prio);
+        scheduleSlot(when, seq_++, allocSlotFor(std::forward<F>(f), kind),
+                     prio);
     }
 
     /** Schedule a callback `delta` ticks from now. */
     template <typename F>
     void
     scheduleAfter(Tick delta, F &&f,
-                  EventPriority prio = EventPriority::Default)
+                  EventPriority prio = EventPriority::Default,
+                  EventKind kind = EventKind::Other)
     {
-        schedule(now_ + delta, std::forward<F>(f), prio);
+        schedule(now_ + delta, std::forward<F>(f), prio, kind);
     }
 
     /**
@@ -122,10 +169,11 @@ class EventQueue
     template <typename F>
     void
     scheduleBurst(Tick first, Tick interval, std::uint64_t count, F &&f,
-                  EventPriority prio = EventPriority::Default)
+                  EventPriority prio = EventPriority::Default,
+                  EventKind kind = EventKind::Other)
     {
         burstSlot(first, interval, count,
-                  allocSlotFor(std::forward<F>(f)), prio);
+                  allocSlotFor(std::forward<F>(f), kind), prio);
     }
 
     /** Take the next sequence number without scheduling anything. */
@@ -142,9 +190,11 @@ class EventQueue
     template <typename F>
     void
     scheduleReserved(Tick when, std::uint64_t seq, F &&f,
-                     EventPriority prio = EventPriority::Default)
+                     EventPriority prio = EventPriority::Default,
+                     EventKind kind = EventKind::Other)
     {
-        scheduleSlot(when, seq, allocSlotFor(std::forward<F>(f)), prio);
+        scheduleSlot(when, seq, allocSlotFor(std::forward<F>(f), kind),
+                     prio);
     }
 
     /** Execute events until the queue is empty. */
@@ -162,8 +212,18 @@ class EventQueue
      */
     std::size_t pending() const { return pendingCount_; }
 
-    /** Total number of events executed so far. */
-    std::uint64_t executed() const { return executed_; }
+    /** Total number of events executed so far (sum over kinds). */
+    std::uint64_t executed() const;
+
+    /** Events of one kind executed so far. */
+    std::uint64_t
+    executed(EventKind kind) const
+    {
+        return kindCounts_[static_cast<std::size_t>(kind)];
+    }
+
+    /** Executed events of every kind. */
+    const EventCounts &executedByKind() const { return kindCounts_; }
 
     bool empty() const { return pendingCount_ == 0; }
 
@@ -184,9 +244,20 @@ class EventQueue
     struct Slot
     {
         Callback cb;
-        Tick interval = 0;          ///< burst spacing (0 for one-shot)
-        std::uint64_t remaining = 0; ///< occurrences left (1 = one-shot)
+        Tick interval = 0;           ///< burst spacing (0 for one-shot)
+        std::uint32_t remaining = 0; ///< occurrences left (1 = one-shot)
+        EventKind kind = EventKind::Other;
     };
+
+    /** Slots per slab block: 2^kSlabShift. */
+    static constexpr unsigned kSlabShift = 4;
+    static constexpr std::uint32_t kSlabMask = (1u << kSlabShift) - 1;
+
+    Slot &
+    slot(std::uint32_t idx)
+    {
+        return slab_[idx >> kSlabShift][idx & kSlabMask];
+    }
 
     static bool
     lessThan(const Node &a, const Node &b)
@@ -201,30 +272,30 @@ class EventQueue
     /** Claim a slot and construct the callable in place. */
     template <typename F>
     std::uint32_t
-    allocSlotFor(F &&f)
+    allocSlotFor(F &&f, EventKind kind)
     {
         std::uint32_t idx;
         if (!freeSlots_.empty()) {
             idx = freeSlots_.back();
             freeSlots_.pop_back();
         } else {
-            SMARTREF_ASSERT(slots_.size() <
-                                std::numeric_limits<std::uint32_t>::max(),
-                            "event slot space exhausted");
-            idx = static_cast<std::uint32_t>(slots_.size());
-            slots_.emplace_back();
+            idx = growSlab();
         }
-        Slot &s = slots_[idx];
+        Slot &s = slot(idx);
         s.cb = std::forward<F>(f);
         s.interval = 0;
         s.remaining = 1;
+        s.kind = kind;
         return idx;
     }
 
-    void scheduleSlot(Tick when, std::uint64_t seq, std::uint32_t slot,
+    /** Claim a never-used slot, adding a slab block when all are used. */
+    std::uint32_t growSlab();
+
+    void scheduleSlot(Tick when, std::uint64_t seq, std::uint32_t slotIdx,
                       EventPriority prio);
     void burstSlot(Tick first, Tick interval, std::uint64_t count,
-                   std::uint32_t slot, EventPriority prio);
+                   std::uint32_t slotIdx, EventPriority prio);
     void insert(Node n);
     void heapPush(Node n);
     Node heapPopMin();
@@ -236,7 +307,9 @@ class EventQueue
     void execute(Node n);
 
     std::vector<Node> heap_;       ///< 4-ary min-heap
-    std::deque<Slot> slots_;       ///< stable callback slab
+    /** Callback slab: blocks of 2^kSlabShift slots that never move. */
+    std::vector<std::unique_ptr<Slot[]>> slab_;
+    std::uint32_t slotsUsed_ = 0;  ///< slots ever handed out
     std::vector<std::uint32_t> freeSlots_;
     /**
      * Fast-path buffer: when valid, `next_` is strictly earlier (in the
@@ -248,7 +321,7 @@ class EventQueue
     std::size_t pendingCount_ = 0;
     Tick now_ = 0;
     std::uint64_t seq_ = 0;
-    std::uint64_t executed_ = 0;
+    EventCounts kindCounts_{}; ///< executed events per EventKind
 };
 
 } // namespace smartref

@@ -72,7 +72,7 @@ IntervalStats::scheduleNext()
                               scheduleNext();
                           }
                       },
-                      EventPriority::Stats);
+                      EventPriority::Stats, EventKind::Window);
 }
 
 void

@@ -230,11 +230,6 @@ Tracer::flush()
         sink->finish();
 }
 
-Tracer &
-globalTracer()
-{
-    static Tracer tracer;
-    return tracer;
-}
+constinit Tracer detail::globalTracerInstance;
 
 } // namespace smartref

@@ -218,8 +218,17 @@ class Tracer
     std::uint64_t emitted_ = 0;
 };
 
+namespace detail {
+/** Constant-initialised, so reading it needs no init guard. */
+extern constinit Tracer globalTracerInstance;
+} // namespace detail
+
 /** The process-wide tracer the SMARTREF_TRACE macros feed. */
-Tracer &globalTracer();
+inline Tracer &
+globalTracer()
+{
+    return detail::globalTracerInstance;
+}
 
 /**
  * Emission macros. The argument list after the category forwards to

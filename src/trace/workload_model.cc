@@ -39,7 +39,8 @@ WorkloadModel::start()
     // Desynchronise workloads sharing a queue by a small random phase.
     eq_.scheduleAfter(params_.startAfter +
                           rng_.nextBelow(meanInterArrival_) + 1,
-                      [this] { visit(); });
+                      [this] { visit(); }, EventPriority::Default,
+                      EventKind::Workload);
 }
 
 void
@@ -51,7 +52,8 @@ WorkloadModel::scheduleNextVisit()
     if (jitter > 0.0)
         dt += rng_.nextExponential(mean * jitter);
     eq_.scheduleAfter(std::max<Tick>(1, static_cast<Tick>(dt)),
-                      [this] { visit(); });
+                      [this] { visit(); }, EventPriority::Default,
+                      EventKind::Workload);
 }
 
 std::uint64_t
@@ -121,7 +123,7 @@ WorkloadModel::visit()
                     sink_(rowToAddr(row, startCol + i),
                           (writeMask >> (i - 1)) & 1);
                 ++i;
-            });
+            }, EventPriority::Default, EventKind::Workload);
         }
     } else {
         // Oversized visit (> 64 deferred accesses): fall back to one
@@ -137,7 +139,7 @@ WorkloadModel::visit()
                                   [this, addr, write] {
                     if (running_)
                         sink_(addr, write);
-                });
+                }, EventPriority::Default, EventKind::Workload);
             }
         }
     }

@@ -37,6 +37,18 @@ TEST(Cli, BareFlags)
     EXPECT_FALSE(args.has("csv"));
 }
 
+TEST(Cli, BareFlagDoesNotSwallowJobs)
+{
+    auto spaced = parse({"--sparse-counters", "-j", "4", "--no-auto"});
+    EXPECT_EQ(spaced.getString("sparse-counters", "unset"), "");
+    EXPECT_EQ(spaced.jobs(), 4u);
+    EXPECT_TRUE(spaced.has("no-auto"));
+
+    auto joined = parse({"--no-auto", "-j2"});
+    EXPECT_EQ(joined.getString("no-auto", "unset"), "");
+    EXPECT_EQ(joined.jobs(), 2u);
+}
+
 TEST(Cli, Fallbacks)
 {
     auto args = parse({});

@@ -94,6 +94,20 @@ TEST(DramConfig, ValidateRejectsNonPowerOfTwoRows)
     EXPECT_THROW(c.validate(), std::runtime_error);
 }
 
+TEST(DramConfig, ValidateRejectsNonPowerOfTwoBanks)
+{
+    DramConfig c = tcfg::smallConfig();
+    c.org.banks = 3;
+    EXPECT_THROW(c.validate(), std::runtime_error);
+}
+
+TEST(DramConfig, ValidateRejectsNonPowerOfTwoRanks)
+{
+    DramConfig c = tcfg::smallConfig();
+    c.org.ranks = 3;
+    EXPECT_THROW(c.validate(), std::runtime_error);
+}
+
 TEST(DramConfig, ValidateRejectsBadTiming)
 {
     DramConfig c = tcfg::tinyConfig();

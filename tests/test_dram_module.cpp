@@ -138,6 +138,14 @@ TEST_F(DramModuleTest, OutOfRangeAddressPanics)
                  std::logic_error);
     EXPECT_THROW(dram.issue({DramCommandType::Activate, 9, 0, 0, 0}),
                  std::logic_error);
+    // Rank and bank are checked before anything is indexed by them, for
+    // every command type and for the timing query.
+    EXPECT_THROW(dram.issue({DramCommandType::Precharge, 9, 0, 0, 0}),
+                 std::logic_error);
+    EXPECT_THROW(dram.issue({DramCommandType::Precharge, 0, 9, 0, 0}),
+                 std::logic_error);
+    EXPECT_THROW(dram.earliestIssue({DramCommandType::Read, 9, 0, 0, 0}),
+                 std::logic_error);
 }
 
 TEST_F(DramModuleTest, RetentionTracksRefreshes)

@@ -12,6 +12,7 @@
 
 #include <cmath>
 #include <sstream>
+#include <stdexcept>
 
 #include "dram/energy_ledger.hh"
 #include "harness/experiment.hh"
@@ -158,7 +159,13 @@ TEST(EnergyLedger, LateAttachmentFailsReconciliation)
     EnergyLedger ledger(
         EnergyLedger::Shape{dram.org.ranks, dram.org.banks});
     sys.dram().setLedger(&ledger);
+#ifdef NDEBUG
     sys.run(4 * kMillisecond);
+#else
+    // Debug builds check conservation at the end of every run
+    // (DramModule::finalize), so the late ledger is caught there first.
+    EXPECT_THROW(sys.run(4 * kMillisecond), std::runtime_error);
+#endif
     EXPECT_FALSE(sys.dram().verifyLedger(false));
     sys.dram().setLedger(nullptr); // keep finalize() clean in any build
 }

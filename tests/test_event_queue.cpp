@@ -230,6 +230,63 @@ TEST(EventQueue, BurstFiresAtEveryInterval)
     EXPECT_EQ(eq.pending(), 0u);
 }
 
+TEST(EventQueue, CountsExecutionsPerKind)
+{
+    // Each occurrence counts once under its slot's kind, bursts and
+    // reserved events included; executed() is the sum over kinds.
+    EventQueue eq;
+    eq.schedule(1, [] {});
+    eq.scheduleAfter(2, [] {}, EventPriority::ClockTick, EventKind::Walk);
+    eq.scheduleBurst(3, 1, 5, [] {}, EventPriority::Default,
+                     EventKind::Emit);
+    const std::uint64_t seq = eq.reserveSeq();
+    eq.scheduleReserved(4, seq, [] {}, EventPriority::Default,
+                        EventKind::IdleTimer);
+    eq.runUntil(4);
+    EXPECT_EQ(eq.executed(EventKind::Emit), 2u); // ticks 3 and 4
+    eq.run();
+    EXPECT_EQ(eq.executed(EventKind::Other), 1u);
+    EXPECT_EQ(eq.executed(EventKind::Walk), 1u);
+    EXPECT_EQ(eq.executed(EventKind::Emit), 5u);
+    EXPECT_EQ(eq.executed(EventKind::IdleTimer), 1u);
+    EXPECT_EQ(eq.executed(), 8u);
+    std::uint64_t sum = 0;
+    for (std::uint64_t n : eq.executedByKind())
+        sum += n;
+    EXPECT_EQ(sum, eq.executed());
+}
+
+TEST(EventQueue, KindNamesAreDistinct)
+{
+    std::vector<std::string> names;
+    for (std::size_t k = 0; k < kEventKinds; ++k)
+        names.push_back(toString(static_cast<EventKind>(k)));
+    std::sort(names.begin(), names.end());
+    EXPECT_EQ(std::adjacent_find(names.begin(), names.end()), names.end());
+    EXPECT_STREQ(toString(EventKind::PolicyClock), "policy_clock");
+}
+
+TEST(EventQueue, SlotsSurviveSlabGrowth)
+{
+    // Hundreds of simultaneously pending events span many slab blocks;
+    // each callback must still find its own capture, and recycled
+    // slots take the kind of their newest event.
+    EventQueue eq;
+    std::vector<int> seen;
+    for (int i = 0; i < 300; ++i)
+        eq.schedule(1 + i % 7, [&seen, i] { seen.push_back(i); });
+    eq.run();
+    ASSERT_EQ(seen.size(), 300u);
+    std::sort(seen.begin(), seen.end());
+    for (int i = 0; i < 300; ++i)
+        EXPECT_EQ(seen[i], i);
+    for (int i = 0; i < 300; ++i)
+        eq.scheduleAfter(1, [] {}, EventPriority::Default, EventKind::Cpu);
+    eq.run();
+    EXPECT_EQ(eq.executed(EventKind::Cpu), 300u);
+    EXPECT_EQ(eq.executed(EventKind::Other), 300u);
+}
+
 TEST(EventQueue, ReservedSeqRunsBeforeLaterSameTickEvents)
 {
     // The reservation predates two same-tick events, so the reserved

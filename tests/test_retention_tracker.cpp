@@ -99,3 +99,34 @@ TEST_F(RetentionTest, ChecksAreCounted)
     const StatBase *s = tracker.findStat("checks");
     ASSERT_NE(s, nullptr);
 }
+
+TEST(RetentionTrackerLayout, ClassMultipliersFollowEveryRow)
+{
+    // The shadow stores rows bank-interleaved; multipliers arrive in
+    // flat (rank, bank, row) order and must land on the same rows.
+    RetentionTracker tracker{2, 4, 8, kLimit, kSlack, nullptr};
+    std::vector<std::uint8_t> m(2 * 4 * 8);
+    for (std::size_t i = 0; i < m.size(); ++i)
+        m[i] = static_cast<std::uint8_t>(1 + i % 7);
+    tracker.applyClassMultipliers(m);
+    std::size_t flat = 0;
+    for (std::uint32_t rank = 0; rank < 2; ++rank)
+        for (std::uint32_t bank = 0; bank < 4; ++bank)
+            for (std::uint32_t row = 0; row < 8; ++row)
+                EXPECT_EQ(tracker.rowLimit(rank, bank, row),
+                          kLimit * m[flat++])
+                    << rank << "/" << bank << "/" << row;
+}
+
+TEST(RetentionTrackerLayout, RowsStayDistinct)
+{
+    // Every (rank, bank, row) owns its own entry: restoring all rows
+    // but one leaves exactly that one stale.
+    RetentionTracker tracker{2, 4, 8, kLimit, kSlack, nullptr};
+    for (std::uint32_t rank = 0; rank < 2; ++rank)
+        for (std::uint32_t bank = 0; bank < 4; ++bank)
+            for (std::uint32_t row = 0; row < 8; ++row)
+                if (!(rank == 1 && bank == 2 && row == 5))
+                    tracker.onRestore(rank, bank, row, kLimit);
+    EXPECT_EQ(tracker.finalCheck(2 * kLimit), 1u);
+}
