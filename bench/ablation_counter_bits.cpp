@@ -11,9 +11,10 @@
 
 #include <iostream>
 
-#include "bench_common.hh"
 #include "core/counter_array.hh"
 #include "core/optimality.hh"
+#include "harness/cli.hh"
+#include "harness/report.hh"
 
 using namespace smartref;
 

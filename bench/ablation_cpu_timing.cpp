@@ -12,8 +12,9 @@
 
 #include <iostream>
 
-#include "bench_common.hh"
+#include "harness/cli.hh"
 #include "harness/cpu_system.hh"
+#include "harness/report.hh"
 
 using namespace smartref;
 

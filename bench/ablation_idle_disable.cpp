@@ -13,7 +13,8 @@
 
 #include <iostream>
 
-#include "bench_common.hh"
+#include "harness/cli.hh"
+#include "harness/report.hh"
 
 using namespace smartref;
 

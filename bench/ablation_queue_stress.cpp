@@ -12,7 +12,8 @@
 
 #include <iostream>
 
-#include "bench_common.hh"
+#include "harness/cli.hh"
+#include "harness/report.hh"
 #include "sim/random.hh"
 
 using namespace smartref;

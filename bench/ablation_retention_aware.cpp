@@ -16,7 +16,8 @@
 #include <iostream>
 #include <memory>
 
-#include "bench_common.hh"
+#include "harness/cli.hh"
+#include "harness/report.hh"
 
 using namespace smartref;
 

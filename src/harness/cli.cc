@@ -1,5 +1,8 @@
 #include "harness/cli.hh"
 
+#include <cctype>
+#include <cerrno>
+#include <climits>
 #include <cstdlib>
 
 #include "sim/logging.hh"
@@ -14,6 +17,24 @@ bool
 isJobsFlag(const std::string &arg)
 {
     return arg.rfind("-j", 0) == 0;
+}
+
+/**
+ * `value` as a whole unsigned number in strtoull's `base` forms (base 0:
+ * decimal, 0x hex, leading-0 octal). No digits, a sign, trailing
+ * characters or a value above `max` is fatal and names `flag`.
+ */
+std::uint64_t
+parseWhole(const std::string &flag, const std::string &value, int base,
+           std::uint64_t max)
+{
+    errno = 0;
+    char *end = nullptr;
+    const unsigned long long v = std::strtoull(value.c_str(), &end, base);
+    if (value.empty() || !std::isdigit(static_cast<unsigned char>(value[0])) ||
+        *end != '\0' || errno == ERANGE || v > max)
+        SMARTREF_FATAL(flag, " needs a whole number, got '", value, "'");
+    return v;
 }
 
 } // namespace
@@ -74,15 +95,7 @@ CliArgs::getU64(const std::string &key, std::uint64_t fallback) const
     auto it = values_.find(key);
     return it == values_.end()
                ? fallback
-               : std::strtoull(it->second.c_str(), nullptr, 0);
-}
-
-double
-CliArgs::getDouble(const std::string &key, double fallback) const
-{
-    auto it = values_.find(key);
-    return it == values_.end() ? fallback
-                               : std::strtod(it->second.c_str(), nullptr);
+               : parseWhole("--" + key, it->second, 0, UINT64_MAX);
 }
 
 unsigned
@@ -93,8 +106,7 @@ CliArgs::jobs() const
     const std::string v = getString("jobs");
     if (v.empty())
         return ThreadPool::hardwareThreads();
-    const unsigned n = static_cast<unsigned>(
-        std::strtoul(v.c_str(), nullptr, 10));
+    const auto n = static_cast<unsigned>(parseWhole("-j", v, 10, UINT_MAX));
     return n == 0 ? 1 : n;
 }
 

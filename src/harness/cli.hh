@@ -29,9 +29,13 @@ class CliArgs
     bool has(const std::string &key) const;
     std::string getString(const std::string &key,
                           const std::string &fallback = "") const;
+    /**
+     * Value of --key as a whole number (decimal, 0x hex or leading-0
+     * octal); `fallback` when absent. Anything that does not parse
+     * whole, or overflows, is fatal.
+     */
     std::uint64_t getU64(const std::string &key,
                          std::uint64_t fallback) const;
-    double getDouble(const std::string &key, double fallback) const;
 
     /**
      * Build ExperimentOptions from the standard flags:
@@ -46,7 +50,8 @@ class CliArgs
     /**
      * Worker-thread count from "-j N" / "-jN" / "--jobs N". A bare
      * "-j" (no count) means one worker per hardware thread; absent
-     * flags mean serial execution.
+     * flags mean serial execution. A count that is not a whole decimal
+     * number is fatal.
      */
     unsigned jobs() const;
 

@@ -149,8 +149,7 @@ ResultCache::lookup(const ResultCacheKey &key, SweepJobResult &out)
     } catch (const std::exception &) {
         // missCause is a variable, so resolve the handle explicitly
         // rather than through the literal-name macro.
-        if (metricsEnabled())
-            globalMetrics().counter(missCause).add(1);
+        globalMetrics().counter(missCause).add(1);
         std::lock_guard<std::mutex> lk(mu_);
         ++stats_.misses;
         ++stats_.corrupt;

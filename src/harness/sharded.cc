@@ -110,11 +110,6 @@ void
 ShardedSystem::runSlice(Tick step)
 {
     using clock = std::chrono::steady_clock;
-    if (!metricsEnabled()) {
-        forEachChannel(
-            [this, step](std::size_t c) { shards_[c].sys->run(step); });
-        return;
-    }
     // Per-channel wall per epoch: each worker writes its own slot, so
     // the timing adds no synchronisation. A channel's "lag" is how long
     // it idled at the epoch barrier waiting for the slowest sibling —

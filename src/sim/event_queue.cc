@@ -33,8 +33,6 @@ toString(EventKind kind)
 void
 publishEventCounts(const EventCounts &counts, EventCounts &published)
 {
-    if (!metricsEnabled())
-        return;
     static const std::array<MetricCounter *, kEventKinds> handles = [] {
         std::array<MetricCounter *, kEventKinds> h{};
         for (std::size_t k = 0; k < kEventKinds; ++k) {

@@ -95,8 +95,7 @@ const char *toString(EventKind kind);
  * Add `counts - published` to the metrics-registry counters
  * sim.events.<kind>, then set `published = counts`. Called at the end
  * of a system's run() so the registry carries cumulative per-kind
- * counts; a no-op while metrics are disabled. Metrics are a sidecar:
- * no deterministic output reads them.
+ * counts. Metrics are a sidecar: no deterministic output reads them.
  */
 void publishEventCounts(const EventCounts &counts, EventCounts &published);
 

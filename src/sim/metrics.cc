@@ -13,8 +13,6 @@ namespace smartref {
 
 namespace {
 
-std::atomic<bool> g_metricsEnabled{true};
-
 /** Locale-independent shortest-round-trip double, like sweep.cc. */
 std::string
 num(double v)
@@ -227,18 +225,6 @@ globalMetrics()
 {
     static MetricsRegistry registry;
     return registry;
-}
-
-void
-setMetricsEnabled(bool enabled)
-{
-    g_metricsEnabled.store(enabled, std::memory_order_relaxed);
-}
-
-bool
-metricsEnabled()
-{
-    return g_metricsEnabled.load(std::memory_order_relaxed);
 }
 
 } // namespace smartref

@@ -13,14 +13,14 @@
  * Contract mirrored from `peakRssBytes`: every metrics output is a
  * non-deterministic sidecar and must never be embedded in
  * deterministic aggregates (sweep JSON/CSV, stats dumps, cache
- * entries). CI pins this by comparing smoke-sweep bytes with metrics
- * on vs off.
+ * entries). CI pins this by comparing smoke-sweep bytes with and
+ * without a `--metrics-out` snapshot.
  *
  * Update cost: one relaxed atomic RMW per counter add, two per
  * histogram observe (plus CAS loops for min/max on new extremes).
- * Instrumented call sites go through the SMARTREF_METRIC_* macros,
- * which honour a runtime kill switch (setMetricsEnabled) so one binary
- * can measure its own overhead.
+ * Instrumented call sites go through the SMARTREF_METRIC_* macros and
+ * fire once per epoch, pool task, sweep job or cache operation, never
+ * per simulated event (tests/test_sharded.cpp pins the fan-out).
  *
  * The registry never deletes an instrument: references returned by
  * counter()/gauge()/histogram() stay valid for the process lifetime,
@@ -176,25 +176,12 @@ class MetricsRegistry
 /** The process-wide registry the SMARTREF_METRIC_* macros update. */
 MetricsRegistry &globalMetrics();
 
-/**
- * Runtime kill switch for the instrumented call sites (macros below).
- * Defaults to enabled. Direct MetricsRegistry use is unaffected —
- * this only gates the ambient instrumentation, so a single binary can
- * compare metrics-on vs metrics-off wall time (bench/micro_metrics)
- * and prove golden-byte neutrality (tests/test_metrics).
- */
-void setMetricsEnabled(bool enabled);
-bool metricsEnabled();
-
 /** Add `n` to the process-wide counter `name`. */
 #define SMARTREF_METRIC_ADD(name, n)                                         \
     do {                                                                     \
-        if (::smartref::metricsEnabled()) {                                  \
-            static ::smartref::MetricCounter &smartrefMetricHandle_ =        \
-                ::smartref::globalMetrics().counter(name);                   \
-            smartrefMetricHandle_.add(                                       \
-                static_cast<std::uint64_t>(n));                              \
-        }                                                                    \
+        static ::smartref::MetricCounter &smartrefMetricHandle_ =            \
+            ::smartref::globalMetrics().counter(name);                       \
+        smartrefMetricHandle_.add(static_cast<std::uint64_t>(n));            \
     } while (0)
 
 /** Bump the process-wide counter `name` by one. */
@@ -203,22 +190,17 @@ bool metricsEnabled();
 /** Set the process-wide gauge `name`. */
 #define SMARTREF_METRIC_SET(name, v)                                         \
     do {                                                                     \
-        if (::smartref::metricsEnabled()) {                                  \
-            static ::smartref::MetricGauge &smartrefMetricHandle_ =          \
-                ::smartref::globalMetrics().gauge(name);                     \
-            smartrefMetricHandle_.set(static_cast<double>(v));               \
-        }                                                                    \
+        static ::smartref::MetricGauge &smartrefMetricHandle_ =              \
+            ::smartref::globalMetrics().gauge(name);                         \
+        smartrefMetricHandle_.set(static_cast<double>(v));                   \
     } while (0)
 
 /** Record a sample into the process-wide histogram `name`. */
 #define SMARTREF_METRIC_OBSERVE(name, v)                                     \
     do {                                                                     \
-        if (::smartref::metricsEnabled()) {                                  \
-            static ::smartref::MetricHistogram &smartrefMetricHandle_ =      \
-                ::smartref::globalMetrics().histogram(name);                 \
-            smartrefMetricHandle_.observe(                                   \
-                static_cast<std::uint64_t>(v));                             \
-        }                                                                    \
+        static ::smartref::MetricHistogram &smartrefMetricHandle_ =          \
+            ::smartref::globalMetrics().histogram(name);                     \
+        smartrefMetricHandle_.observe(static_cast<std::uint64_t>(v));        \
     } while (0)
 
 } // namespace smartref

@@ -85,8 +85,6 @@ writeMetaJson(std::ostream &os, const RunMeta &run)
         os << ",\"seedMode\":" << jsonQuoted(run.seedMode);
     if (run.peakRssBytes)
         os << ",\"peakRssBytes\":" << run.peakRssBytes;
-    if (run.bytesPerSimulatedRow > 0.0)
-        os << ",\"bytesPerSimulatedRow\":" << run.bytesPerSimulatedRow;
     os << "}";
 }
 

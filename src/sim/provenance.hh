@@ -1,11 +1,11 @@
 /**
  * @file
  * Run provenance: every JSON artifact the simulator emits (stats dumps,
- * sweep aggregates, heatmaps, BENCH_*.json) carries a `meta` block that
- * identifies the build (git SHA, compiler, flags, build type) and the
- * run configuration (schema version, config hash, seed mode), so a
- * number in a dashboard can always be traced back to the code and
- * configuration that produced it.
+ * sweep aggregates, heatmaps, timing and metrics sidecars) carries a
+ * `meta` block that identifies the build (git SHA, compiler, flags,
+ * build type) and the run configuration (schema version, config hash,
+ * seed mode), so a number in a dashboard can always be traced back to
+ * the code and configuration that produced it.
  *
  * The block deliberately contains only values that are identical for
  * every `-j N` execution of the same build and configuration — no
@@ -70,18 +70,10 @@ struct RunMeta
     /**
      * Peak resident set of the producing process. Host-dependent, so it
      * may only be set on artifacts that are already outside the
-     * byte-identity contract (the timing sidecar, BENCH_*.json) —
+     * byte-identity contract (the timing sidecar, metrics snapshots) —
      * never on deterministic stats/aggregate dumps.
      */
     std::uint64_t peakRssBytes = 0;
-
-    /**
-     * Modeled counter-storage bytes per simulated row
-     * (residentCounterBytes / total rows). Deterministic — derived from
-     * the configuration and the workload, not the host — so statdiff
-     * can flag memory regressions between runs.
-     */
-    double bytesPerSimulatedRow = 0.0;
 };
 
 /**

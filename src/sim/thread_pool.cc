@@ -151,18 +151,14 @@ ThreadPool::workerLoop(unsigned id)
     for (;;) {
         std::function<void()> task;
         if (tryGetTask(id, task)) {
-            if (metricsEnabled()) {
-                const auto t0 = std::chrono::steady_clock::now();
-                task();
-                const auto busy =
-                    std::chrono::duration_cast<std::chrono::nanoseconds>(
-                        std::chrono::steady_clock::now() - t0)
-                        .count();
-                SMARTREF_METRIC_INC("thread_pool.tasks_executed");
-                SMARTREF_METRIC_ADD("thread_pool.busy_ns", busy);
-            } else {
-                task();
-            }
+            const auto t0 = std::chrono::steady_clock::now();
+            task();
+            const auto busy =
+                std::chrono::duration_cast<std::chrono::nanoseconds>(
+                    std::chrono::steady_clock::now() - t0)
+                    .count();
+            SMARTREF_METRIC_INC("thread_pool.tasks_executed");
+            SMARTREF_METRIC_ADD("thread_pool.busy_ns", busy);
             std::lock_guard<std::mutex> lk(mu_);
             --pending_;
             if (pending_ == 0)

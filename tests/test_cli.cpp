@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "harness/cli.hh"
@@ -53,7 +56,6 @@ TEST(Cli, Fallbacks)
 {
     auto args = parse({});
     EXPECT_EQ(args.getU64("bits", 3), 3u);
-    EXPECT_DOUBLE_EQ(args.getDouble("scale", 1.5), 1.5);
     EXPECT_EQ(args.getString("csv", "none"), "none");
 }
 
@@ -141,8 +143,48 @@ TEST(Cli, RejectsPositionalArguments)
     EXPECT_THROW(parse({"positional"}), std::runtime_error);
 }
 
-TEST(Cli, DoubleParsing)
+TEST(Cli, NumbersKeepStrtoullBaseForms)
 {
-    auto args = parse({"--scale", "2.5"});
-    EXPECT_DOUBLE_EQ(args.getDouble("scale", 0.0), 2.5);
+    auto args = parse({"--a", "0x10", "--b", "010", "--c",
+                       "18446744073709551615"});
+    EXPECT_EQ(args.getU64("a", 0), 16u);
+    EXPECT_EQ(args.getU64("b", 0), 8u);
+    EXPECT_EQ(args.getU64("c", 0), UINT64_MAX);
+}
+
+TEST(Cli, NumbersMustParseWhole)
+{
+    // No digits: used to become 0 and panic later in CounterArray.
+    EXPECT_THROW(parse({"--bits", "abc"}).experimentOptions(),
+                 std::runtime_error);
+    // Trailing characters: used to run 1 ms silently.
+    EXPECT_THROW(parse({"--measure-ms", "1ms"}).experimentOptions(),
+                 std::runtime_error);
+    // Overflow, a sign, or no value at all.
+    EXPECT_THROW(parse({"--seed", "18446744073709551616"}).getU64("seed", 0),
+                 std::runtime_error);
+    EXPECT_THROW(parse({"--seed", "-1"}).getU64("seed", 0),
+                 std::runtime_error);
+    EXPECT_THROW(parse({"--seed"}).getU64("seed", 0), std::runtime_error);
+}
+
+TEST(Cli, JobsMustParseWhole)
+{
+    // Used to run silently on one worker.
+    EXPECT_THROW(parse({"-j", "x"}).jobs(), std::runtime_error);
+    EXPECT_THROW(parse({"-j4x"}).jobs(), std::runtime_error);
+    EXPECT_THROW(parse({"-j", "99999999999"}).jobs(), std::runtime_error);
+    EXPECT_EQ(parse({"-j", "0"}).jobs(), 1u);
+}
+
+TEST(Cli, NumericErrorNamesFlagAndValue)
+{
+    try {
+        parse({"--measure-ms", "1ms"}).experimentOptions();
+        FAIL() << "no error";
+    } catch (const std::runtime_error &e) {
+        const std::string what = e.what();
+        EXPECT_NE(what.find("--measure-ms"), std::string::npos) << what;
+        EXPECT_NE(what.find("'1ms'"), std::string::npos) << what;
+    }
 }

@@ -12,8 +12,8 @@
  *    SMARTREF_METRIC_* macros' function-local statics rely on;
  *
  *  - golden hygiene: deterministic sweep aggregates are byte-identical
- *    with metrics enabled vs disabled (the runtime kill switch), so
- *    no metric can ever leak into golden bytes.
+ *    whether the registry starts freshly reset or already populated,
+ *    so no metric can ever leak into golden bytes.
  *
  * Everything below uses a local MetricsRegistry where possible; the
  * macro tests touch globalMetrics() with test-unique names so they
@@ -43,7 +43,7 @@ tinyGrid()
     SweepGrid g;
     g.name = "metricstest";
     g.configs = {"2gb"};
-    g.benchmarks = {"mummer"};
+    g.benchmarks = {"mummer", "gcc"};
     g.policies = {"smart"};
     g.counterBits = {3};
     g.retentionMs = {0};
@@ -58,12 +58,6 @@ fastOptions()
     opts.measure = 4 * kMillisecond;
     return opts;
 }
-
-/** Restores the runtime kill switch even when an assertion throws. */
-struct MetricsEnabledGuard
-{
-    ~MetricsEnabledGuard() { setMetricsEnabled(true); }
-};
 
 } // namespace
 
@@ -261,22 +255,15 @@ TEST(MetricsSnapshot, JsonSchemaAndValues)
     EXPECT_LE(h.at("p99").number, 20.0);
 }
 
-// -------------------------------------------------- macros + switches
+// -------------------------------------------------------------- macros
 
 TEST(MetricsMacros, HonourCompileAndRuntimeSwitches)
 {
-    MetricsEnabledGuard guard;
     // Test-unique names: the global registry is shared with the
     // instrumented library code.
     const std::uint64_t before =
         globalMetrics().counter("test.macro.inc").value();
 
-    setMetricsEnabled(false);
-    SMARTREF_METRIC_INC("test.macro.inc");
-    EXPECT_EQ(globalMetrics().counter("test.macro.inc").value(), before)
-        << "macro must be inert while disabled";
-
-    setMetricsEnabled(true);
     SMARTREF_METRIC_INC("test.macro.inc");
     SMARTREF_METRIC_ADD("test.macro.inc", 2);
     EXPECT_EQ(globalMetrics().counter("test.macro.inc").value(),
@@ -292,30 +279,34 @@ TEST(MetricsMacros, HonourCompileAndRuntimeSwitches)
 
 TEST(MetricsGoldenHygiene, SweepAggregatesIdenticalOnVsOff)
 {
-    MetricsEnabledGuard guard;
     const SweepGrid grid = tinyGrid();
     const SweepRunOptions opts = fastOptions();
+    const std::uint64_t jobs =
+        expandGrid(grid, opts.baseSeed, opts.seedMode).size();
+    MetricsRegistry &reg = globalMetrics();
 
-    setMetricsEnabled(true);
-    const auto onResults = runSweep(grid, opts);
-    std::ostringstream onJson, onCsv;
-    writeSweepJson(grid, opts, onResults, onJson);
-    writeSweepCsv(onResults, onCsv);
+    reg.reset();
+    const auto freshResults = runSweep(grid, opts);
+    std::ostringstream freshJson, freshCsv;
+    writeSweepJson(grid, opts, freshResults, freshJson);
+    writeSweepCsv(freshResults, freshCsv);
+    // The sweep's instruments fire once per job.
+    EXPECT_EQ(reg.counter("sweep.jobs_scheduled").value(), jobs);
+    EXPECT_EQ(reg.histogram("sweep.job_wall_us").count(), jobs);
 
-    setMetricsEnabled(false);
-    const auto offResults = runSweep(grid, opts);
-    std::ostringstream offJson, offCsv;
-    writeSweepJson(grid, opts, offResults, offJson);
-    writeSweepCsv(offResults, offCsv);
+    const auto populatedResults = runSweep(grid, opts);
+    std::ostringstream populatedJson, populatedCsv;
+    writeSweepJson(grid, opts, populatedResults, populatedJson);
+    writeSweepCsv(populatedResults, populatedCsv);
 
-    // The whole point of the sidecar contract: instrumentation must
+    // The whole point of the sidecar contract: registry state must
     // never perturb deterministic aggregates, byte for byte.
-    EXPECT_EQ(onJson.str(), offJson.str());
-    EXPECT_EQ(onCsv.str(), offCsv.str());
+    EXPECT_EQ(freshJson.str(), populatedJson.str());
+    EXPECT_EQ(freshCsv.str(), populatedCsv.str());
     // ("metrics" itself appears: the aggregate's per-job simulation
     // metrics. What must not appear is anything from the registry
     // snapshot or the tracing layer.)
-    EXPECT_EQ(onJson.str().find("smartref-metrics-v1"),
+    EXPECT_EQ(freshJson.str().find("smartref-metrics-v1"),
               std::string::npos);
-    EXPECT_EQ(onJson.str().find("traceId"), std::string::npos);
+    EXPECT_EQ(freshJson.str().find("traceId"), std::string::npos);
 }

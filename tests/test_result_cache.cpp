@@ -28,6 +28,7 @@
 #include "harness/result_cache.hh"
 #include "harness/sweep.hh"
 #include "harness/sweep_telemetry.hh"
+#include "sim/metrics.hh"
 #include "sim/provenance.hh"
 
 using namespace smartref;
@@ -421,9 +422,14 @@ TEST(CachedSweep, WarmAggregatesAreByteIdenticalAndAllHits)
     EXPECT_EQ(cache.stats().misses, 2u);
     EXPECT_EQ(cache.stats().stores, 2u);
 
+    // A warm replay serves every job from the cache and schedules none.
+    const MetricCounter &scheduled =
+        globalMetrics().counter("sweep.jobs_scheduled");
+    const std::uint64_t scheduledBefore = scheduled.value();
     const std::string warm = aggregate(grid, opts);
     EXPECT_EQ(cold, warm);
     EXPECT_EQ(cache.stats().hits, 2u);
+    EXPECT_EQ(scheduled.value(), scheduledBefore);
 
     // Parallel warm run: hits stitched in grid order regardless of -j.
     opts.jobs = 4;

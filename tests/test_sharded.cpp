@@ -23,6 +23,8 @@
 #include "dram/energy_ledger.hh"
 #include "harness/experiment.hh"
 #include "harness/sharded.hh"
+#include "sim/metrics.hh"
+#include "sim/mini_json.hh"
 #include "trace/benchmark_profiles.hh"
 
 using namespace smartref;
@@ -282,14 +284,77 @@ TEST(ShardedSystem, MergedOutputsByteIdenticalAcrossShardJobs)
     EXPECT_NE(a.auditNdjson.find("\"channel\":1"), std::string::npos);
 }
 
+TEST(ShardedSystem, MetricsFireOncePerChannelEpochNeverPerEvent)
+{
+    // The metric updates of a sharded run scale with epochs x channels,
+    // never with events, and each epoch hands one pool task to each
+    // channel: 128 GB is 8 channels, and 2 + 8 ms in 4 ms epochs is 3
+    // epochs (one 2 ms slice, then two 4 ms slices).
+    globalMetrics().reset();
+    std::uint64_t channels = 0;
+    std::uint64_t events = 0;
+    {
+        SystemConfig cfg = makeConfig("128gb", 0);
+        channels = cfg.dram.channels;
+        ASSERT_EQ(channels, 8u);
+        ShardedSystem sys(cfg, 4);
+        addChannelWorkloads(sys, cfg.dram, 42);
+        sys.run(2 * kMillisecond);
+        sys.run(8 * kMillisecond);
+        events = sys.eventsExecuted();
+    }
+    // Read once the pool has joined: a worker counts a task only after
+    // the task has released parallelFor.
+    const std::uint64_t epochs = 3;
+    const std::uint64_t tasks = channels * epochs;
+    const minijson::Value snap =
+        minijson::parse(globalMetrics().snapshotJson());
+    const auto &counters = snap.at("counters").object;
+    const auto &histograms = snap.at("histograms").object;
+    // An instrument that never fired is absent from the snapshot.
+    auto counter = [&](const std::string &name) -> std::uint64_t {
+        const auto it = counters.find(name);
+        return it == counters.end()
+                   ? 0
+                   : static_cast<std::uint64_t>(it->second.number);
+    };
+    auto samples = [&](const std::string &name) -> std::uint64_t {
+        const auto it = histograms.find(name);
+        return it == histograms.end()
+                   ? 0
+                   : static_cast<std::uint64_t>(
+                         it->second.at("count").number);
+    };
+    EXPECT_EQ(counter("sharded.epochs"), epochs);
+    EXPECT_EQ(counter("thread_pool.tasks_executed"), tasks);
+    EXPECT_EQ(counter("thread_pool.external_pops"), tasks);
+    EXPECT_EQ(samples("sharded.epoch_lag_ns"), tasks);
+
+    std::uint64_t eventSum = 0;
+    for (const auto &[name, value] : counters) {
+        const auto n = static_cast<std::uint64_t>(value.number);
+        if (name.rfind("sim.events.", 0) == 0) {
+            eventSum += n;
+        } else if (!name.ends_with("_ns")) { // a duration, not a count
+            EXPECT_LE(n, tasks) << name;
+        }
+    }
+    EXPECT_EQ(eventSum, events);
+    EXPECT_GT(events, 100 * tasks);
+    for (const auto &[name, value] : histograms)
+        EXPECT_LE(value.at("count").number, static_cast<double>(tasks))
+            << name;
+}
+
 TEST(ShardedSystem, ServerConfigConstructsLazily)
 {
     // A multi-hundred-GB module with sparse counters must construct
     // without materialising any counter storage, and an idle epoch of
     // pure pristine walking must keep it that way. (The 512 GB preset
-    // and the absolute RSS ceiling are exercised by
-    // bench/micro_channel_scale in the server-smoke CI job; the unit
-    // test uses 256 GB to stay light under the sanitizer builds.)
+    // and the absolute RSS ceiling are exercised by the server-smoke CI
+    // job's `--grid server` sweep, whose timing sidecar records the
+    // peak RSS; the unit test uses 256 GB to stay light under the
+    // sanitizer builds.)
     SystemConfig cfg = makeConfig("256gb", 0);
     ASSERT_GT(cfg.dram.channels, 1u);
     cfg.smart.autoReconfigure = false;

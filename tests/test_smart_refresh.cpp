@@ -147,6 +147,10 @@ TEST(SmartRefresh, CounterAreaMatchesFormula)
     const auto &org = rig.config.org;
     EXPECT_DOUBLE_EQ(rig.policy.counterAreaKBUsed(),
                      counterAreaKB(org.banks, org.ranks, org.rows, 3));
+    // The stagger walk touches one counter per segment per step, so
+    // the policy lays the counters out interleaved by segment.
+    EXPECT_EQ(rig.policy.counters().interleave(),
+              SmartRefreshConfig{}.segments);
 }
 
 TEST(SmartRefresh, RequestedCountsTrackIssued)

@@ -1,0 +1,22 @@
+# Runs `TOOL ARGS...` in a fresh, empty DIR and expects a user error: exit
+# code 2 (not an abort) and MESSAGE on stderr after "error: ".
+#
+#   cmake -DTOOL=<binary> "-DARGS=<args>" "-DMESSAGE=<text>" -DDIR=<dir>
+#         -P check_user_error.cmake
+file(REMOVE_RECURSE "${DIR}")
+file(MAKE_DIRECTORY "${DIR}")
+separate_arguments(args UNIX_COMMAND "${ARGS}")
+execute_process(COMMAND "${TOOL}" ${args}
+    WORKING_DIRECTORY "${DIR}"
+    RESULT_VARIABLE rc
+    OUTPUT_VARIABLE out
+    ERROR_VARIABLE err
+    TIMEOUT 30)
+if(NOT rc STREQUAL "2")
+    message(FATAL_ERROR "${TOOL} ${ARGS} exited with '${rc}', want 2: ${err}")
+endif()
+string(FIND "${err}" "error: fatal: ${MESSAGE}" at)
+if(at EQUAL -1)
+    message(FATAL_ERROR "${TOOL} ${ARGS} printed no 'error: fatal: "
+                        "${MESSAGE}':\n${err}")
+endif()

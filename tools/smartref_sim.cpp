@@ -16,6 +16,7 @@
 #include <iostream>
 #include <memory>
 #include <sstream>
+#include <stdexcept>
 #include <vector>
 
 #include "ctrl/refresh_audit.hh"
@@ -346,10 +347,8 @@ finishObservability(const CliArgs &args, const StatGroup &root,
     globalTracer().flush();
 }
 
-} // namespace
-
 int
-main(int argc, char **argv)
+run(int argc, char **argv)
 {
     if (helpRequested(argc, argv)) {
         std::cout << kUsage;
@@ -603,4 +602,20 @@ main(int argc, char **argv)
     }
 
     return violations == 0 ? 0 : 1;
+}
+
+} // namespace
+
+int
+main(int argc, char **argv)
+{
+    // A user error (bad flag value, unknown config or grid, unwritable
+    // path) exits 2 with one line; a panic (std::logic_error) is a bug
+    // and still aborts.
+    try {
+        return run(argc, argv);
+    } catch (const std::runtime_error &e) {
+        std::cerr << "error: " << e.what() << "\n";
+        return 2;
+    }
 }

@@ -15,8 +15,8 @@
 #include <filesystem>
 #include <fstream>
 #include <iostream>
-
 #include <memory>
+#include <stdexcept>
 
 #include "harness/cli.hh"
 #include "harness/report.hh"
@@ -70,8 +70,6 @@ constexpr const char *kUsage = R"(usage:
                                        after the sweep
                  [--metrics-out FILE]  metrics-registry snapshot
                                        JSON (not deterministic)
-                 [--no-metrics]        disable metrics updates (the
-                                       overhead-measurement baseline)
                  [--seed S] [--seed-mode derived|fixed]
                  [--warmup-ms N] [--measure-ms N] [--segments N]
                  [--no-auto] [--progress]
@@ -132,10 +130,8 @@ resolveGrid(const CliArgs &args)
     return grid;
 }
 
-} // namespace
-
 int
-main(int argc, char **argv)
+run(int argc, char **argv)
 {
     if (helpRequested(argc, argv)) {
         std::cout << kUsage;
@@ -154,9 +150,6 @@ main(int argc, char **argv)
     const SweepGrid grid = resolveGrid(args);
     const ExperimentOptions eo = args.experimentOptions();
     setLogLevel(eo.logLevel);
-
-    if (args.has("no-metrics"))
-        setMetricsEnabled(false);
 
     SweepRunOptions opts;
     opts.jobs = args.jobs();
@@ -301,4 +294,20 @@ main(int argc, char **argv)
     std::cerr << "sweep complete in " << fmtDouble(wallSeconds, 1)
               << "s, no retention violations" << std::endl;
     return 0;
+}
+
+} // namespace
+
+int
+main(int argc, char **argv)
+{
+    // A user error (bad flag value, unknown config or grid, unwritable
+    // path) exits 2 with one line; a panic (std::logic_error) is a bug
+    // and still aborts.
+    try {
+        return run(argc, argv);
+    } catch (const std::runtime_error &e) {
+        std::cerr << "error: " << e.what() << "\n";
+        return 2;
+    }
 }
