@@ -187,7 +187,8 @@ void
 MemoryController::forceHeld(std::size_t engineIdx)
 {
     Engine &engine = engines_[engineIdx];
-    std::vector<Item> expired;
+    const bool wasIdle = !engine.busy && engine.queue.empty();
+    std::size_t forced = 0;
     while (!engine.heldRefresh.empty() &&
            engine.heldRefresh.front().ref.created + cfg_.darpDeferWindow <=
                eq_.now()) {
@@ -196,15 +197,17 @@ MemoryController::forceHeld(std::size_t engineIdx)
         if (maybeCancelHeld(item))
             continue;
         item.darpOutcome = static_cast<int>(AuditOutcome::DarpForced);
-        expired.push_back(std::move(item));
+        // Jump ahead of queued demand: these refreshes are out of slack.
+        engine.queue.pushFront(std::move(item));
+        ++forced;
     }
-    if (expired.empty())
+    if (forced == 0)
         return;
-    if (!engine.busy && engine.queue.empty())
+    // pushFront stacked the expired prefix newest first; restore
+    // creation order.
+    engine.queue.reverseFront(forced);
+    if (wasIdle)
         ++activeEngines_;
-    // Jump ahead of queued demand: these refreshes are out of slack.
-    for (auto it = expired.rbegin(); it != expired.rend(); ++it)
-        engine.queue.pushFront(std::move(*it));
     kick(engineIdx);
 }
 

@@ -19,11 +19,8 @@ isJobsFlag(const std::string &arg)
     return arg.rfind("-j", 0) == 0;
 }
 
-/**
- * `value` as a whole unsigned number in strtoull's `base` forms (base 0:
- * decimal, 0x hex, leading-0 octal). No digits, a sign, trailing
- * characters or a value above `max` is fatal and names `flag`.
- */
+} // namespace
+
 std::uint64_t
 parseWhole(const std::string &flag, const std::string &value, int base,
            std::uint64_t max)
@@ -36,8 +33,6 @@ parseWhole(const std::string &flag, const std::string &value, int base,
         SMARTREF_FATAL(flag, " needs a whole number, got '", value, "'");
     return v;
 }
-
-} // namespace
 
 bool
 helpRequested(int argc, char **argv)

@@ -1,6 +1,6 @@
 /**
  * @file
- * Minimal command-line flag parsing shared by bench and example
+ * Minimal command-line flag parsing shared by the tools and example
  * binaries: "--key value" and "--flag" forms.
  */
 
@@ -19,6 +19,14 @@ namespace smartref {
  * CliArgs (which rejects the single-dash -h) and print their usage.
  */
 bool helpRequested(int argc, char **argv);
+
+/**
+ * `value` as a whole unsigned number in strtoull's `base` forms (base 0:
+ * decimal, 0x hex, leading-0 octal). No digits, a sign, trailing
+ * characters or a value above `max` is fatal and names `flag`.
+ */
+std::uint64_t parseWhole(const std::string &flag, const std::string &value,
+                         int base, std::uint64_t max);
 
 /** Parsed "--key value" / "--flag" arguments. */
 class CliArgs
@@ -54,9 +62,6 @@ class CliArgs
      * number is fatal.
      */
     unsigned jobs() const;
-
-    /** Value of --csv (empty when absent). */
-    std::string csvPath() const { return getString("csv"); }
 
     /** Value of --trace-out: Chrome trace_event JSON path. */
     std::string traceOutPath() const { return getString("trace-out"); }

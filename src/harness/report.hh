@@ -1,8 +1,8 @@
 /**
  * @file
- * Figure/table formatting for the sweep's paper figures and the bench
- * binaries: aligned console tables, per-suite grouping, geometric-mean
- * footers and CSV export — one call per paper figure.
+ * Figure/table formatting for the sweep's paper figures and the tools:
+ * aligned console tables, per-suite grouping, geometric-mean footers
+ * and CSV export — one call per paper figure.
  */
 
 #pragma once

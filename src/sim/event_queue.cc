@@ -24,7 +24,6 @@ toString(EventKind kind)
       case EventKind::Completion: return "completion";
       case EventKind::Workload: return "workload";
       case EventKind::Cache: return "cache";
-      case EventKind::Cpu: return "cpu";
       case EventKind::Window: return "window";
     }
     return "?";

@@ -77,7 +77,6 @@ enum class EventKind : std::uint8_t {
     Completion,  ///< demand completion callback
     Workload,    ///< synthetic workload visits and access trains
     Cache,       ///< 3D DRAM cache tag and fill steps
-    Cpu,         ///< CPU model quanta and memory operations
     Window,      ///< monitor windows, mode overlaps, interval samples
 };
 

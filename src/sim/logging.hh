@@ -49,7 +49,7 @@ concat(Args &&...args)
 }
 
 [[noreturn]] void panicImpl(const char *file, int line, const std::string &msg);
-[[noreturn]] void fatalImpl(const char *file, int line, const std::string &msg);
+[[noreturn]] void fatalImpl(const std::string &msg);
 void warnImpl(const std::string &msg);
 void informImpl(const std::string &msg);
 void debugImpl(const std::string &msg);
@@ -61,10 +61,13 @@ void debugImpl(const std::string &msg);
     ::smartref::detail::panicImpl(__FILE__, __LINE__,                        \
                                   ::smartref::detail::concat(__VA_ARGS__))
 
-/** Exit due to an impossible user configuration. */
+/**
+ * Exit due to an impossible user configuration: throws
+ * std::runtime_error("fatal: <msg>") and prints nothing, so the tool's
+ * main() reports it once.
+ */
 #define SMARTREF_FATAL(...)                                                  \
-    ::smartref::detail::fatalImpl(__FILE__, __LINE__,                        \
-                                  ::smartref::detail::concat(__VA_ARGS__))
+    ::smartref::detail::fatalImpl(::smartref::detail::concat(__VA_ARGS__))
 
 /** Warn about approximate or suspicious behaviour. */
 #define SMARTREF_WARN(...)                                                   \

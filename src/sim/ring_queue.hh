@@ -52,6 +52,16 @@ class RingQueue
         ++size_;
     }
 
+    /** Reverse the order of the first `n` elements in place. */
+    void
+    reverseFront(std::size_t n)
+    {
+        SMARTREF_ASSERT(n <= size_, "reverseFront() past the end");
+        for (std::size_t i = 0; i < n / 2; ++i)
+            std::swap(buf_[(head_ + i) & mask()],
+                      buf_[(head_ + n - 1 - i) & mask()]);
+    }
+
     /** Remove the front element and return it. */
     T
     popFront()

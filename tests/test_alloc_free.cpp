@@ -1,8 +1,9 @@
 /**
  * @file
  * The allocation contract of the simulation hot path (docs/perf.md):
- * once a system has warmed up, demand accesses, refreshes and counter
- * walk steps perform no heap allocation.
+ * once a system has warmed up, demand accesses, refreshes (DARP's
+ * forced dispatch included) and counter walk steps perform no heap
+ * allocation.
  *
  * This binary replaces the global operator new/delete with counting
  * versions, so it must stay a test executable of its own. Sanitizer
@@ -17,8 +18,11 @@
 #include <cstdlib>
 #include <new>
 
+#include "ctrl/memory_controller.hh"
+#include "ctrl/refresh_audit.hh"
 #include "harness/system.hh"
 #include "harness/threed_system.hh"
+#include "test_config.hh"
 #include "trace/benchmark_profiles.hh"
 
 #if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
@@ -209,4 +213,33 @@ TEST(AllocFree, ThreeDSmartSteadyState)
     DramCache &cache = sys.cache();
     expectAllocationFree(
         measure(sys, [&cache] { return cache.demandAccesses(); }));
+}
+
+TEST(AllocFree, DarpForcedDispatch)
+{
+    if (!SMARTREF_ALLOC_COUNTING)
+        GTEST_SKIP() << "sanitizer runtime owns operator new";
+    EventQueue eq;
+    DramConfig c = tcfg::tinyConfig();
+    c.parallelism = RefreshParallelism::Darp;
+    DramModule dram(c, eq);
+    MemoryController ctrl(dram, eq);
+    RefreshAudit audit(
+        RefreshAudit::Shape{c.org.ranks, c.org.banks, c.org.rows});
+    ctrl.setAudit(&audit);
+    // One round keeps bank 0 busy past the defer window with queued
+    // row-conflicting reads, so both refreshes held there are forced
+    // to the front of its queue.
+    const auto round = [&] {
+        for (int i = 0; i < 400; ++i)
+            ctrl.access(c.org.banks * (1 + i % 2) * c.org.rowBytes(), false);
+        for (std::uint32_t row : {10u, 11u})
+            ctrl.pushRefresh({0, 0, row, false, eq.now()});
+        eq.run();
+    };
+    round();
+    const std::uint64_t before = gAllocations.load();
+    round();
+    EXPECT_EQ(gAllocations.load() - before, 0u);
+    EXPECT_EQ(audit.count(AuditOutcome::DarpForced), 4u);
 }

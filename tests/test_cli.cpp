@@ -29,7 +29,6 @@ TEST(Cli, KeyValuePairs)
     auto args = parse({"--measure-ms", "32", "--csv", "/tmp/x.csv"});
     EXPECT_EQ(args.getU64("measure-ms", 0), 32u);
     EXPECT_EQ(args.getString("csv"), "/tmp/x.csv");
-    EXPECT_EQ(args.csvPath(), "/tmp/x.csv");
 }
 
 TEST(Cli, BareFlags)

@@ -16,6 +16,12 @@ TEST(BusEnergy, Table3Anchor)
     // E = C * VDD^2 * width = 30.888pF * 3.24 * 15.
     EXPECT_NEAR(bus.energyPerAccess(), 30.888e-12 * 1.8 * 1.8 * 15.0,
                 1e-13);
+    // On the 2 GB module's 16-bit address bus: 1.601 nJ per posted
+    // refresh address.
+    StatGroup root2("root2");
+    BusEnergyModel bus2(deriveBusParams(BusEnergyParams{}, ddr2_2GB().org),
+                        &root2);
+    EXPECT_NEAR(bus2.energyPerAccess(), 1.601e-9, 0.0005e-9);
 }
 
 TEST(BusEnergy, AccumulatesPerAccess)

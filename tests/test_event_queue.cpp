@@ -281,9 +281,9 @@ TEST(EventQueue, SlotsSurviveSlabGrowth)
     for (int i = 0; i < 300; ++i)
         EXPECT_EQ(seen[i], i);
     for (int i = 0; i < 300; ++i)
-        eq.scheduleAfter(1, [] {}, EventPriority::Default, EventKind::Cpu);
+        eq.scheduleAfter(1, [] {}, EventPriority::Default, EventKind::Cache);
     eq.run();
-    EXPECT_EQ(eq.executed(EventKind::Cpu), 300u);
+    EXPECT_EQ(eq.executed(EventKind::Cache), 300u);
     EXPECT_EQ(eq.executed(EventKind::Other), 300u);
 }
 

@@ -2,7 +2,8 @@
  * @file
  * Refresh-access parallelism tests: mode parsing, subarray busy-window
  * bookkeeping in the bank/device models, the REFab rank stall, the DARP
- * idle predictor, sweep-axis plumbing (pointKey/seed/expansion), the
+ * idle predictor and forced dispatch, sweep-axis plumbing
+ * (pointKey/seed/expansion), the
  * -j1 vs -jN byte-identity of parallelism sweeps, and the headline
  * ordering property — DARP/SARP block demand strictly less than
  * all-bank refresh at equal refresh counts.
@@ -10,9 +11,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <sstream>
+#include <vector>
 
 #include "ctrl/darp_predictor.hh"
+#include "ctrl/memory_controller.hh"
+#include "ctrl/refresh_audit.hh"
 #include "dram/dram_module.hh"
 #include "dram/refresh_parallelism.hh"
 #include "harness/sweep.hh"
@@ -221,6 +226,64 @@ TEST(DarpPredictor, GapNeverGoesNegative)
     p.recordDemand(1000);
     EXPECT_GE(p.averageGap(), 0);
     EXPECT_TRUE(p.expectIdleFor(1000, 0));
+}
+
+TEST(DarpForced, ExpiredRefreshesJumpQueuedDemandInCreationOrder)
+{
+    // Bank 0 never goes quiet: 400 row-conflicting reads queue at tick
+    // 0, far more than one defer window of work. The two refreshes
+    // DARP holds there must not wait for the drain: at the deadline
+    // they go to the front of the bank's queue, oldest first.
+    EventQueue eq;
+    DramConfig c = tcfg::tinyConfig();
+    c.parallelism = RefreshParallelism::Darp;
+    DramModule dram(c, eq);
+    const ControllerConfig cfg;
+    MemoryController ctrl(dram, eq, cfg);
+    RefreshAudit audit(
+        RefreshAudit::Shape{c.org.ranks, c.org.banks, c.org.rows});
+    ctrl.setAudit(&audit);
+
+    // Block row b is bank b % banks, row b / banks: bank 0, rows 1 and 2.
+    std::vector<Tick> completions;
+    for (int i = 0; i < 400; ++i) {
+        const std::uint64_t blockRow = c.org.banks * (1 + i % 2);
+        ctrl.access(blockRow * c.org.rowBytes(), false,
+                    [&](const MemRequest &, Tick done) {
+                        completions.push_back(done);
+                    });
+    }
+    for (std::uint32_t row : {10u, 11u})
+        ctrl.pushRefresh({0, 0, row, false, eq.now()});
+    EXPECT_EQ(ctrl.darpDeferred(), 2u);
+    eq.run();
+
+    ASSERT_EQ(completions.size(), 400u);
+    EXPECT_EQ(audit.count(AuditOutcome::DarpForced), 2u);
+    std::vector<AuditRecord> forced;
+    for (const AuditRecord &r : audit.collect())
+        if (r.outcome == static_cast<std::uint8_t>(AuditOutcome::DarpForced))
+            forced.push_back(r);
+    ASSERT_EQ(forced.size(), 2u);
+    EXPECT_EQ(forced[0].row, 10u);
+    EXPECT_EQ(forced[1].row, 11u);
+
+    // Both issue within a microsecond of the deadline, while hundreds
+    // of queued reads still wait; only the read in service and the one
+    // whose data was returning complete in between.
+    const Tick deadline = cfg.darpDeferWindow;
+    EXPECT_GE(forced[0].tick, deadline);
+    EXPECT_LT(forced[1].tick, deadline + kMicrosecond);
+    const auto completedIn = [&](Tick from, Tick to) {
+        return std::count_if(completions.begin(), completions.end(),
+                             [&](Tick t) { return t > from && t <= to; });
+    };
+    EXPECT_LE(completedIn(deadline, forced[1].tick), 2);
+    EXPECT_GT(completedIn(forced[1].tick, eq.now()), 100);
+
+    EXPECT_EQ(dram.retention().violations() +
+                  dram.retention().finalCheck(eq.now()),
+              0u);
 }
 
 TEST(ParallelismSweepAxis, PointKeyOmitsDefaultMode)

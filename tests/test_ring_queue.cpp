@@ -39,15 +39,33 @@ TEST(RingQueue, GrowsWhileWrappedAndKeepsFifoOrder)
 
 TEST(RingQueue, PushFrontJumpsTheQueue)
 {
-    // The controller's DARP force path pushes expired refreshes to the
-    // front in reverse, so they leave in their original order ahead of
-    // queued demand.
     RingQueue<int> q;
     q.pushBack(5);
     q.pushBack(6);
     for (int i : {3, 2, 1})
         q.pushFront(i);
     EXPECT_EQ(drain(q), (std::vector<int>{1, 2, 3, 5, 6}));
+}
+
+TEST(RingQueue, ReverseFrontRestoresPushOrderAcrossTheWrap)
+{
+    // The controller's DARP force path pushes expired refreshes to the
+    // front oldest first, then reverses that run, so they leave in
+    // their original order ahead of queued demand. From head 0 the
+    // pushes wrap around the end of the ring.
+    RingQueue<int> q;
+    q.pushBack(5);
+    q.pushBack(6);
+    for (int i : {1, 2, 3})
+        q.pushFront(i);
+    q.reverseFront(3);
+    EXPECT_EQ(drain(q), (std::vector<int>{1, 2, 3, 5, 6}));
+
+    for (int i : {7, 8})
+        q.pushBack(i);
+    q.reverseFront(0);
+    q.reverseFront(1);
+    EXPECT_EQ(drain(q), (std::vector<int>{7, 8}));
 }
 
 TEST(RingQueue, PopFrontMovesOutMoveOnlyElements)

@@ -1,5 +1,6 @@
 # Runs `TOOL ARGS...` in a fresh, empty DIR and expects a user error: exit
-# code 2 (not an abort) and MESSAGE on stderr after "error: ".
+# code 2 (not an abort) and MESSAGE on stderr after "error: fatal: ",
+# printed once.
 #
 #   cmake -DTOOL=<binary> "-DARGS=<args>" "-DMESSAGE=<text>" -DDIR=<dir>
 #         -P check_user_error.cmake
@@ -19,4 +20,10 @@ string(FIND "${err}" "error: fatal: ${MESSAGE}" at)
 if(at EQUAL -1)
     message(FATAL_ERROR "${TOOL} ${ARGS} printed no 'error: fatal: "
                         "${MESSAGE}':\n${err}")
+endif()
+string(FIND "${err}" "${MESSAGE}" first)
+string(FIND "${err}" "${MESSAGE}" last REVERSE)
+if(NOT first EQUAL last)
+    message(FATAL_ERROR "${TOOL} ${ARGS} printed '${MESSAGE}' more than "
+                        "once:\n${err}")
 endif()

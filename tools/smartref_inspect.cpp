@@ -31,6 +31,9 @@
 
 #include <algorithm>
 #include <array>
+#include <climits>
+#include <cmath>
+#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <iostream>
@@ -41,6 +44,7 @@
 #include <vector>
 
 #include "ctrl/refresh_audit.hh"
+#include "harness/cli.hh"
 #include "harness/report.hh"
 #include "sim/logging.hh"
 #include "sim/mini_json.hh"
@@ -688,62 +692,72 @@ diffMetrics(const minijson::Value &a, const minijson::Value &b)
 int
 main(int argc, char **argv)
 {
-    std::vector<std::string> files;
-    Filters filters;
-    std::size_t top = 10;
-    std::uint64_t records = 0;
-    bool histogramOnly = false;
-    for (int i = 1; i < argc; ++i) {
-        const std::string arg = argv[i];
-        auto value = [&]() -> std::string {
-            if (i + 1 >= argc) {
-                std::cerr << arg << " needs a value\n";
-                std::exit(usage(argv[0]));
-            }
-            return argv[++i];
-        };
-        if (arg == "--version") {
-            std::cout << versionText("smartref_inspect");
-            return 0;
-        } else if (arg == "--help" || arg == "-h") {
-            usage(argv[0]);
-            return 0;
-        } else if (arg == "--outcome") {
-            const std::string name = value();
-            filters.hasOutcome = true;
-            if (!parseAuditOutcome(name, filters.outcome)) {
-                std::cerr << "unknown outcome '" << name << "'"
-                          << didYouMean(name, auditOutcomeNames())
-                          << "\n";
-                return 2;
-            }
-        } else if (arg == "--channel") {
-            filters.channel = std::stol(value());
-        } else if (arg == "--rank") {
-            filters.rank = std::stol(value());
-        } else if (arg == "--bank") {
-            filters.bank = std::stol(value());
-        } else if (arg == "--from-ms") {
-            filters.fromMs = std::stod(value());
-        } else if (arg == "--to-ms") {
-            filters.toMs = std::stod(value());
-        } else if (arg == "--top") {
-            top = std::stoul(value());
-        } else if (arg == "--records") {
-            records = std::stoull(value());
-        } else if (arg == "--histogram") {
-            histogramOnly = true;
-        } else if (!arg.empty() && arg[0] == '-') {
-            std::cerr << "unknown flag '" << arg << "'\n";
-            return usage(argv[0]);
-        } else {
-            files.push_back(arg);
-        }
-    }
-    if (files.empty() || files.size() > 2)
-        return usage(argv[0]);
-
     try {
+        std::vector<std::string> files;
+        Filters filters;
+        std::size_t top = 10;
+        std::uint64_t records = 0;
+        bool histogramOnly = false;
+        for (int i = 1; i < argc; ++i) {
+            const std::string arg = argv[i];
+            auto value = [&]() -> std::string {
+                if (i + 1 >= argc) {
+                    std::cerr << arg << " needs a value\n";
+                    std::exit(usage(argv[0]));
+                }
+                return argv[++i];
+            };
+            // Numbers parse whole, as CliArgs::getU64 does: "5x" or
+            // "abc" is a user error, not 5 or an abort.
+            auto whole = [&](std::uint64_t max) {
+                return parseWhole(arg, value(), 0, max);
+            };
+            auto milliseconds = [&] {
+                const std::string v = value();
+                char *end = nullptr;
+                const double ms = std::strtod(v.c_str(), &end);
+                if (end == v.c_str() || *end != '\0' || !std::isfinite(ms))
+                    SMARTREF_FATAL(arg, " needs a number, got '", v, "'");
+                return ms;
+            };
+            if (arg == "--version") {
+                std::cout << versionText("smartref_inspect");
+                return 0;
+            } else if (arg == "--help" || arg == "-h") {
+                usage(argv[0]);
+                return 0;
+            } else if (arg == "--outcome") {
+                const std::string name = value();
+                filters.hasOutcome = true;
+                if (!parseAuditOutcome(name, filters.outcome))
+                    SMARTREF_FATAL("unknown outcome '", name, "'",
+                                   didYouMean(name, auditOutcomeNames()));
+            } else if (arg == "--channel") {
+                filters.channel = static_cast<long>(whole(LONG_MAX));
+            } else if (arg == "--rank") {
+                filters.rank = static_cast<long>(whole(LONG_MAX));
+            } else if (arg == "--bank") {
+                filters.bank = static_cast<long>(whole(LONG_MAX));
+            } else if (arg == "--from-ms") {
+                filters.fromMs = milliseconds();
+            } else if (arg == "--to-ms") {
+                filters.toMs = milliseconds();
+            } else if (arg == "--top") {
+                top = static_cast<std::size_t>(whole(SIZE_MAX));
+            } else if (arg == "--records") {
+                records = whole(UINT64_MAX);
+            } else if (arg == "--histogram") {
+                histogramOnly = true;
+            } else if (!arg.empty() && arg[0] == '-') {
+                std::cerr << "unknown flag '" << arg << "'\n";
+                return usage(argv[0]);
+            } else {
+                files.push_back(arg);
+            }
+        }
+        if (files.empty() || files.size() > 2)
+            return usage(argv[0]);
+
         const bool auditA = isAuditFile(files[0]);
         if (files.size() == 2) {
             if (auditA != isAuditFile(files[1]))
@@ -786,7 +800,7 @@ main(int argc, char **argv)
         inspectLedger(root, filters, top);
         return 0;
     } catch (const std::exception &e) {
-        std::cerr << "smartref_inspect: " << e.what() << "\n";
+        std::cerr << "error: " << e.what() << "\n";
         return 2;
     }
 }

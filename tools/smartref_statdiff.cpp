@@ -161,7 +161,7 @@ main(int argc, char **argv)
         return result.pass() ? 0 : 1;
     } catch (const std::exception &e) {
         // SMARTREF_FATAL and the JSON parser both throw runtime_error.
-        std::cerr << "smartref_statdiff: " << e.what() << "\n";
+        std::cerr << "error: " << e.what() << "\n";
         return 2;
     }
 }
