@@ -4,8 +4,6 @@
  * simultaneous countdown degenerates into burst refresh, why staggered
  * *initialisation* alone is not enough, and how the segmented staggered
  * walk keeps the refresh stream uniform.
- *
- * Usage: counter_timeline [--bits 2] [--rows 16] [--segments 4]
  */
 
 #include <iomanip>
@@ -19,6 +17,11 @@
 using namespace smartref;
 
 namespace {
+
+const CliSpec kSpec = {"counter_timeline", {},
+                       {{"bits", "B", "counter width", "2"},
+                        {"rows", "N", "rows in the toy bank", "16"},
+                        {"segments", "N", "divides --rows", "4"}}};
 
 void
 printRow(const std::string &label, const std::vector<int> &values,
@@ -108,16 +111,13 @@ segmentedWalk(std::uint32_t bits, std::uint32_t rows,
               << " <= " << segments << " (the pending-queue bound)\n";
 }
 
-} // namespace
-
 int
-main(int argc, char **argv)
+run(const CliArgs &args)
 {
-    CliArgs args(argc, argv);
-    const auto bits = static_cast<std::uint32_t>(args.getU64("bits", 2));
-    const auto rows = static_cast<std::uint32_t>(args.getU64("rows", 16));
+    const auto bits = static_cast<std::uint32_t>(args.getU64("bits"));
+    const auto rows = static_cast<std::uint32_t>(args.getU64("rows"));
     const auto segments =
-        static_cast<std::uint32_t>(args.getU64("segments", 4));
+        static_cast<std::uint32_t>(args.getU64("segments"));
 
     if (rows % segments != 0) {
         std::cerr << "rows must divide evenly into segments\n";
@@ -131,4 +131,12 @@ main(int argc, char **argv)
     simultaneousCountdown(bits, rows);
     segmentedWalk(bits, rows, segments);
     return 0;
+}
+
+} // namespace
+
+int
+main(int argc, char **argv)
+{
+    return runCli(kSpec, argc, argv, run);
 }

@@ -3,8 +3,6 @@
  * Self-configuration demo (paper Section 4.6): watch Smart Refresh fall
  * back to CBR when the DRAM goes idle and re-enable itself when a
  * working set returns. Prints a per-interval mode/refresh log.
- *
- * Usage: idle_autoconfig [--intervals N]
  */
 
 #include <iomanip>
@@ -19,6 +17,9 @@ using namespace smartref;
 
 namespace {
 
+const CliSpec kSpec = {
+    "idle_autoconfig", {}, {{"intervals", "N", "64 ms intervals", "18"}}};
+
 const char *
 modeName(SmartRefreshPolicy::Mode mode)
 {
@@ -31,13 +32,10 @@ modeName(SmartRefreshPolicy::Mode mode)
     return "?";
 }
 
-} // namespace
-
 int
-main(int argc, char **argv)
+run(const CliArgs &args)
 {
-    CliArgs args(argc, argv);
-    const std::uint64_t intervals = args.getU64("intervals", 18);
+    const std::uint64_t intervals = args.getU64("intervals");
 
     SystemConfig cfg;
     cfg.dram = ddr2_2GB();
@@ -96,4 +94,12 @@ main(int argc, char **argv)
               << "retention violations: "
               << sys.dram().retention().violations() << " (must be 0)\n";
     return sys.dram().retention().violations() == 0 ? 0 : 1;
+}
+
+} // namespace
+
+int
+main(int argc, char **argv)
+{
+    return runCli(kSpec, argc, argv, run);
 }

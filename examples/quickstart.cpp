@@ -2,8 +2,6 @@
  * @file
  * Quickstart: build a 2 GB DDR2 system, run the same workload under the
  * CBR baseline and under Smart Refresh, and print the headline metrics.
- *
- * Usage: quickstart [--measure-ms N] [--bits B] [--verbose]
  */
 
 #include <iostream>
@@ -16,6 +14,9 @@
 using namespace smartref;
 
 namespace {
+
+const CliSpec kSpec = {
+    "quickstart", {}, {{"warmup-ms"}, {"measure-ms"}, {"bits"}, {"seed"}}};
 
 struct QuickResult
 {
@@ -67,13 +68,10 @@ runOnce(PolicyKind policy, const ExperimentOptions &opts)
     return r;
 }
 
-} // namespace
-
 int
-main(int argc, char **argv)
+run(const CliArgs &args)
 {
-    CliArgs args(argc, argv);
-    ExperimentOptions opts = args.experimentOptions();
+    const ExperimentOptions opts = args.experimentOptions();
 
     std::cout << "Smart Refresh quickstart: 2 GB DDR2-667, benchmark "
                  "profile 'mummer'\n"
@@ -116,4 +114,12 @@ main(int argc, char **argv)
         return 1;
     }
     return 0;
+}
+
+} // namespace
+
+int
+main(int argc, char **argv)
+{
+    return runCli(kSpec, argc, argv, run);
 }

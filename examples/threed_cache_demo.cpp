@@ -4,9 +4,6 @@
  * module used as an L3 cache in front of a 2 GB main memory, with Smart
  * Refresh on the hot stacked die. Prints the cache behaviour, both
  * refresh domains, and the stacked module's energy breakdown.
- *
- * Usage: threed_cache_demo [--benchmark mummer] [--rate-32ms]
- *                          [--measure-ms N]
  */
 
 #include <iostream>
@@ -18,6 +15,11 @@
 using namespace smartref;
 
 namespace {
+
+const CliSpec kSpec = {"threed_cache_demo", {},
+                       {{"benchmark", "NAME", "workload profile", "mummer"},
+                        {"rate-32ms", "", "32 ms-retention stacked module"},
+                        {"warmup-ms"}, {"measure-ms"}, {"bits"}}};
 
 void
 runOne(const std::string &benchName, const DramConfig &threeD,
@@ -51,14 +53,11 @@ runOne(const std::string &benchName, const DramConfig &threeD,
                 std::to_string(d.violations)});
 }
 
-} // namespace
-
 int
-main(int argc, char **argv)
+run(const CliArgs &args)
 {
-    CliArgs args(argc, argv);
-    ExperimentOptions opts = args.experimentOptions();
-    const std::string bench = args.getString("benchmark", "mummer");
+    const ExperimentOptions opts = args.experimentOptions();
+    const std::string bench = args.getString("benchmark");
     const DramConfig threeD =
         args.has("rate-32ms") ? dram3d_64MB_32ms() : dram3d_64MB();
 
@@ -80,4 +79,12 @@ main(int argc, char **argv)
                  "of its energy — exactly the regime\nthe paper's "
                  "Section 4.5 motivates.\n";
     return 0;
+}
+
+} // namespace
+
+int
+main(int argc, char **argv)
+{
+    return runCli(kSpec, argc, argv, run);
 }

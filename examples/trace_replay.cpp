@@ -3,12 +3,8 @@
  * Standalone trace-driven mode, mirroring DRAMsim's trace frontend:
  * record a workload's DRAM access stream to a file, then replay the
  * identical stream under the CBR baseline and under Smart Refresh.
- *
- * Usage:
- *   trace_replay record --out trace.bin [--seconds-ms 64]
- *                       [--benchmark mummer] [--binary]
- *   trace_replay replay --in trace.bin
- *   trace_replay            (record to a temp file, then replay it)
+ * With neither --out (record only) nor --in (replay only) it records
+ * to a temp file, then replays it.
  */
 
 #include <cstdio>
@@ -24,6 +20,13 @@
 using namespace smartref;
 
 namespace {
+
+const CliSpec kSpec = {"trace_replay", {},
+                       {{"benchmark", "NAME", "profile to record", "mummer"},
+                        {"seconds-ms", "N", "recorded window, ms", "64"},
+                        {"binary", "", "binary trace format"},
+                        {"in", "FILE", "replay this trace only"},
+                        {"out", "FILE", "record to FILE only"}}};
 
 /** Capture a workload's access stream into a trace file. */
 std::uint64_t
@@ -82,14 +85,11 @@ replay(const std::string &path, PolicyKind policy)
     return snap;
 }
 
-} // namespace
-
 int
-main(int argc, char **argv)
+run(const CliArgs &args)
 {
-    CliArgs args(argc, argv);
-    const std::string benchmark = args.getString("benchmark", "mummer");
-    const Tick length = args.getU64("seconds-ms", 64) * kMillisecond;
+    const std::string benchmark = args.getString("benchmark");
+    const Tick length = args.getU64("seconds-ms") * kMillisecond;
     const TraceFormat format =
         args.has("binary") ? TraceFormat::Binary : TraceFormat::Text;
 
@@ -135,4 +135,12 @@ main(int argc, char **argv)
     if (!haveInput && !args.has("out"))
         std::remove(path.c_str());
     return (cbr.violations || smart.violations) ? 1 : 0;
+}
+
+} // namespace
+
+int
+main(int argc, char **argv)
+{
+    return runCli(kSpec, argc, argv, run);
 }

@@ -56,10 +56,9 @@ RetentionClassMap::idealRefreshRate(Tick nominalRetention) const
     const double nominalSec = static_cast<double>(nominalRetention) /
                               static_cast<double>(kSecond);
     double rate = 0.0;
-    for (const auto &[mult, frac] : params_.classes) {
-        rate += frac * static_cast<double>(multipliers_.size()) /
-                (nominalSec * mult);
-    }
+    for (const auto &cls : params_.classes)
+        rate += static_cast<double>(population(cls.first)) /
+                (nominalSec * cls.first);
     return rate;
 }
 

@@ -65,7 +65,8 @@ class RetentionClassMap
 
     /**
      * The ideal refresh rate (rows/second) if every row were refreshed
-     * exactly at its class deadline — RAPID's best case.
+     * exactly at its class deadline — RAPID's best case, from this
+     * map's populations.
      */
     double idealRefreshRate(Tick nominalRetention) const;
 

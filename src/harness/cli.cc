@@ -1,22 +1,66 @@
 #include "harness/cli.hh"
 
+#include <algorithm>
 #include <cctype>
 #include <cerrno>
 #include <climits>
 #include <cstdlib>
+#include <iostream>
+#include <sstream>
+#include <stdexcept>
 
 #include "sim/logging.hh"
+#include "sim/provenance.hh"
+#include "sim/suggest.hh"
 #include "sim/thread_pool.hh"
 
 namespace smartref {
 
 namespace {
 
-/** make(1)-style worker count: "-j8", or "-j" followed by "8". */
-bool
-isJobsFlag(const std::string &arg)
+/** The flags experimentOptions() reads, with ExperimentOptions' defaults. */
+const std::vector<CliFlag> &
+standardFlags()
 {
-    return arg.rfind("-j", 0) == 0;
+    static const ExperimentOptions d;
+    static const auto n = [](auto v) { return std::to_string(v); };
+    static const std::vector<CliFlag> rows = {
+        {"warmup-ms", "N", "warm-up window, ms", n(d.warmup / kMillisecond)},
+        {"measure-ms", "N", "measure window, ms", n(d.measure / kMillisecond)},
+        {"bits", "B", "Smart Refresh counter width", n(d.counterBits)},
+        {"segments", "N", "counter segments", n(d.segments)},
+        {"seed", "S", "workload seed", n(d.seed)},
+        {"no-auto", "", "no fallback to CBR on an idle module"},
+        {"sparse-counters", "", "lazily-chunked counter array"},
+        {"j", "[N]", "workers; bare -j: one per hardware thread",
+         n(d.shardJobs)},
+        {"log-level", "LEVEL", "silent|warn|info|debug", toString(d.logLevel)},
+        {"verbose", "", "alias for --log-level debug"},
+    };
+    return rows;
+}
+
+const CliFlag *
+findIn(const std::vector<CliFlag> &rows, const std::string &name)
+{
+    for (const CliFlag &f : rows)
+        if (f.name == name)
+            return &f;
+    return nullptr;
+}
+
+std::string
+spelling(const std::string &name)
+{
+    return (name.size() == 1 ? "-" : "--") + name;
+}
+
+/** A flag, not a value or operand ("-1" is a value). */
+bool
+looksLikeFlag(const std::string &arg)
+{
+    return arg.size() > 1 && arg[0] == '-' &&
+           !std::isdigit(static_cast<unsigned char>(arg[1]));
 }
 
 } // namespace
@@ -34,71 +78,110 @@ parseWhole(const std::string &flag, const std::string &value, int base,
     return v;
 }
 
-bool
-helpRequested(int argc, char **argv)
+std::vector<std::string>
+splitList(const std::string &list)
 {
-    for (int i = 1; i < argc; ++i) {
-        const std::string arg = argv[i];
-        if (arg == "--help" || arg == "-h")
-            return true;
-    }
-    return false;
+    std::vector<std::string> out;
+    std::istringstream in(list);
+    for (std::string item; std::getline(in, item, ',');)
+        if (!item.empty())
+            out.push_back(item);
+    return out;
 }
 
-CliArgs::CliArgs(int argc, char **argv)
+CliArgs::CliArgs(const CliSpec &spec, const std::vector<std::string> &args)
+    : spec_(spec)
 {
-    for (int i = 1; i < argc; ++i) {
-        std::string arg = argv[i];
-        if (isJobsFlag(arg)) {
-            std::string count = arg.substr(2);
-            if (count.empty() && i + 1 < argc &&
-                std::string(argv[i + 1]).rfind("-", 0) != 0)
-                count = argv[++i];
-            values_["jobs"] = count;
+    for (CliFlag &f : spec_.flags) {
+        const CliFlag *base = findIn(standardFlags(), f.name);
+        if (base && f.meta.empty())
+            f = {f.name, base->meta, f.help.empty() ? base->help : f.help,
+                 base->fallback};
+    }
+    spec_.flags.push_back(
+        {"version", "", "print the provenance build block and exit"});
+    spec_.flags.push_back({"help", "", "print this help and exit"});
+    std::vector<std::string> spellings;
+    for (const CliFlag &f : spec_.flags)
+        spellings.push_back(spelling(f.name));
+
+    for (std::size_t i = 0; i < args.size(); ++i) {
+        const std::string arg = args[i] == "-h" ? "--help" : args[i];
+        if (!looksLikeFlag(arg)) {
+            // After a flag, this is a value that flag did not take.
+            if (operands_.size() == spec_.operands.size())
+                SMARTREF_FATAL("unexpected argument '", arg, "'",
+                               i > 0 && looksLikeFlag(args[i - 1])
+                                   ? " (" + args[i - 1] + " takes no value)"
+                                   : "");
+            operands_.push_back(arg);
             continue;
         }
-        if (arg.rfind("--", 0) != 0)
-            SMARTREF_FATAL("unexpected argument '", arg,
-                           "' (flags are --key [value])");
-        arg = arg.substr(2);
-        // The next token is this flag's value unless it is another flag;
-        // a boolean flag must not swallow a following "-j N".
-        const bool hasValue = i + 1 < argc &&
-                              std::string(argv[i + 1]).rfind("--", 0) != 0 &&
-                              !isJobsFlag(argv[i + 1]);
-        values_[arg] = hasValue ? argv[++i] : "";
+        // "--name", or a short flag with its value maybe attached ("-j4").
+        const bool isLong = arg[1] == '-';
+        const std::string name = isLong ? arg.substr(2) : arg.substr(1, 1);
+        std::string value = isLong ? "" : arg.substr(2);
+        const CliFlag *flag = findIn(spec_.flags, name);
+        const bool optional = flag && flag->meta.rfind('[', 0) == 0;
+        if (!flag || isLong != (name.size() > 1) ||
+            (!value.empty() && !optional))
+            SMARTREF_FATAL("unknown flag '", arg, "'",
+                           didYouMean(arg, spellings));
+        const bool hasNext =
+            i + 1 < args.size() && !looksLikeFlag(args[i + 1]);
+        if (!flag->meta.empty() && value.empty() && hasNext)
+            value = args[++i];
+        else if (!flag->meta.empty() && !optional)
+            SMARTREF_FATAL(arg, " needs a value (", flag->meta, ")");
+        values_[name] = value;
     }
+
+    const auto required = static_cast<std::size_t>(
+        std::count_if(spec_.operands.begin(), spec_.operands.end(),
+                      [](const std::string &o) { return o[0] != '['; }));
+    if (operands_.size() < required && !has("help") && !has("version"))
+        SMARTREF_FATAL("missing operand ", spec_.operands[operands_.size()]);
+}
+
+const CliFlag *
+CliArgs::find(const std::string &name) const
+{
+    const CliFlag *f = findIn(spec_.flags, name);
+    if (!f && !findIn(standardFlags(), name))
+        SMARTREF_PANIC(spec_.program, " reads ", spelling(name),
+                       ", which its flag table does not declare");
+    return f;
 }
 
 bool
-CliArgs::has(const std::string &key) const
+CliArgs::has(const std::string &name) const
 {
-    return values_.count(key) > 0;
+    return find(name) && values_.count(name) > 0;
 }
 
 std::string
-CliArgs::getString(const std::string &key,
-                   const std::string &fallback) const
+CliArgs::getString(const std::string &name) const
 {
-    auto it = values_.find(key);
-    return it == values_.end() ? fallback : it->second;
+    const auto it = values_.find(name);
+    if (it != values_.end())
+        return it->second;
+    const CliFlag *f = find(name);
+    return (f ? f : findIn(standardFlags(), name))->fallback;
 }
 
 std::uint64_t
-CliArgs::getU64(const std::string &key, std::uint64_t fallback) const
+CliArgs::getU64(const std::string &name) const
 {
-    auto it = values_.find(key);
-    return it == values_.end()
-               ? fallback
-               : parseWhole("--" + key, it->second, 0, UINT64_MAX);
+    const std::string v = getString(name);
+    SMARTREF_ASSERT(has(name) || !v.empty(), spelling(name),
+                    " has no default");
+    return parseWhole(spelling(name), v, 0, UINT64_MAX);
 }
 
 unsigned
 CliArgs::jobs() const
 {
-    if (!has("jobs"))
-        return 1;
-    const std::string v = getString("jobs");
+    const std::string v = getString("j");
     if (v.empty())
         return ThreadPool::hardwareThreads();
     const auto n = static_cast<unsigned>(parseWhole("-j", v, 10, UINT_MAX));
@@ -109,21 +192,58 @@ ExperimentOptions
 CliArgs::experimentOptions() const
 {
     ExperimentOptions opts;
-    opts.warmup = getU64("warmup-ms", 64) * kMillisecond;
-    opts.measure = getU64("measure-ms", 128) * kMillisecond;
-    opts.counterBits = static_cast<std::uint32_t>(getU64("bits", 3));
-    opts.segments = static_cast<std::uint32_t>(getU64("segments", 8));
+    opts.warmup = getU64("warmup-ms") * kMillisecond;
+    opts.measure = getU64("measure-ms") * kMillisecond;
+    opts.counterBits = static_cast<std::uint32_t>(getU64("bits"));
+    opts.segments = static_cast<std::uint32_t>(getU64("segments"));
     opts.autoReconfigure = !has("no-auto");
-    opts.seed = getU64("seed", 42);
+    opts.seed = getU64("seed");
     opts.shardJobs = jobs();
     opts.sparseCounters = has("sparse-counters");
     opts.verbose = has("verbose");
-    opts.logLevel = parseLogLevel(getString("log-level", "warn"));
+    opts.logLevel = parseLogLevel(getString("log-level"));
     // --verbose predates --log-level and stays as an alias for debug;
     // an explicit --log-level wins when both appear.
     if (opts.verbose && !has("log-level"))
         opts.logLevel = LogLevel::Debug;
     return opts;
+}
+
+std::string
+CliArgs::usage() const
+{
+    std::ostringstream os;
+    os << "usage: " << spec_.program;
+    for (const std::string &o : spec_.operands)
+        os << " " << o;
+    os << " [flags]\n\n";
+    for (const CliFlag &f : spec_.flags) {
+        std::string lhs = spelling(f.name) + (f.name == "help" ? ", -h" : "") +
+                          (f.meta.empty() ? "" : " " + f.meta);
+        lhs.resize(std::max<std::size_t>(lhs.size(), 26), ' ');
+        os << "  " << lhs << " " << f.help
+           << (f.fallback.empty() ? "" : " (default " + f.fallback + ")")
+           << "\n";
+    }
+    return os.str();
+}
+
+int
+runCli(const CliSpec &spec, int argc, char **argv,
+       int (*body)(const CliArgs &))
+{
+    try {
+        const CliArgs args(spec, {argv + 1, argv + argc});
+        if (args.has("help") || args.has("version")) {
+            std::cout << (args.has("help") ? args.usage()
+                                           : versionText(spec.program));
+            return 0;
+        }
+        return body(args);
+    } catch (const std::runtime_error &e) {
+        std::cerr << "error: " << e.what() << "\n";
+        return 2;
+    }
 }
 
 } // namespace smartref

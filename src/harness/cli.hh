@@ -1,7 +1,7 @@
 /**
  * @file
- * Minimal command-line flag parsing shared by the tools and example
- * binaries: "--key value" and "--flag" forms.
+ * The one argv parser of the tools and examples: each binary declares a
+ * flag table (CliSpec), and runCli() is the whole of its main().
  */
 
 #pragma once
@@ -9,16 +9,11 @@
 #include <cstdint>
 #include <map>
 #include <string>
+#include <vector>
 
 #include "harness/experiment.hh"
 
 namespace smartref {
-
-/**
- * True when argv holds --help or -h. Tools check this before building
- * CliArgs (which rejects the single-dash -h) and print their usage.
- */
-bool helpRequested(int argc, char **argv);
 
 /**
  * `value` as a whole unsigned number in strtoull's `base` forms (base 0:
@@ -28,108 +23,85 @@ bool helpRequested(int argc, char **argv);
 std::uint64_t parseWhole(const std::string &flag, const std::string &value,
                          int base, std::uint64_t max);
 
-/** Parsed "--key value" / "--flag" arguments. */
+/** A comma-separated flag value split into its non-empty items. */
+std::vector<std::string> splitList(const std::string &list);
+
+/**
+ * One row of a flag table. A one-letter name is a short flag ("j" is
+ * -j); any other is a long one ("config" is --config). A row naming a
+ * flag experimentOptions() reads may leave meta empty: meta, fallback
+ * and (when empty) help then come from ExperimentOptions' defaults.
+ */
+struct CliFlag
+{
+    std::string name{};
+    /** Value placeholder ("N"); empty for a switch, which takes no
+     *  value; bracketed ("[N]") when optional: "-j", "-j4", "-j 4". */
+    std::string meta{};
+    std::string help{};
+    /** The value when the flag is absent, shown as "(default X)". */
+    std::string fallback{};
+};
+
+/** A binary's whole command line. */
+struct CliSpec
+{
+    std::string program{};
+    /** Operand placeholders; a bracketed one ("[FILE_B]") is optional. */
+    std::vector<std::string> operands{};
+    std::vector<CliFlag> flags{};
+};
+
+/**
+ * Arguments parsed strictly against a CliSpec plus --help (-h) and
+ * --version. Fatal (std::runtime_error): an unknown flag (with a
+ * did-you-mean), a switch given a value, a valued flag without one, and
+ * operands the spec does not declare.
+ */
 class CliArgs
 {
   public:
-    CliArgs(int argc, char **argv);
-
-    bool has(const std::string &key) const;
-    std::string getString(const std::string &key,
-                          const std::string &fallback = "") const;
-    /**
-     * Value of --key as a whole number (decimal, 0x hex or leading-0
-     * octal); `fallback` when absent. Anything that does not parse
-     * whole, or overflows, is fatal.
-     */
-    std::uint64_t getU64(const std::string &key,
-                         std::uint64_t fallback) const;
+    CliArgs(const CliSpec &spec, const std::vector<std::string> &args);
 
     /**
-     * Build ExperimentOptions from the standard flags:
-     * --warmup-ms N, --measure-ms N, --bits B, --segments N, --seed S,
-     * --no-auto (disable reconfiguration), --sparse-counters,
-     * -j N (shard workers for multi-channel configs),
-     * --log-level {silent,warn,info,debug}, --verbose (alias for
-     * --log-level debug).
+     * Whether the flag was given. Reading an undeclared flag is a bug
+     * (panic); experimentOptions()'s flags read as absent instead.
      */
-    ExperimentOptions experimentOptions() const;
+    bool has(const std::string &name) const;
+    /** The flag's value, or its table fallback when absent. */
+    std::string getString(const std::string &name) const;
+    /** getString() through parseWhole() (base 0, up to UINT64_MAX). */
+    std::uint64_t getU64(const std::string &name) const;
 
-    /**
-     * Worker-thread count from "-j N" / "-jN" / "--jobs N". A bare
-     * "-j" (no count) means one worker per hardware thread; absent
-     * flags mean serial execution. A count that is not a whole decimal
-     * number is fatal.
-     */
+    const std::vector<std::string> &operands() const { return operands_; }
+
+    /** -j N or -jN (0 means 1), one per hardware thread for a bare -j,
+     *  1 when absent. A count that is not a whole decimal is fatal. */
     unsigned jobs() const;
 
-    /** Value of --trace-out: Chrome trace_event JSON path. */
-    std::string traceOutPath() const { return getString("trace-out"); }
+    /** ExperimentOptions from those of --warmup-ms, --measure-ms, --bits,
+     *  --segments, --seed, --no-auto, --sparse-counters, -j, --log-level
+     *  and --verbose (alias for --log-level debug) the table declares. */
+    ExperimentOptions experimentOptions() const;
 
-    /** Value of --trace-csv: compact CSV timeline path. */
-    std::string traceCsvPath() const { return getString("trace-csv"); }
-
-    /** Value of --trace-categories (comma-separated; default "all"). */
-    std::string
-    traceCategories() const
-    {
-        return getString("trace-categories", "all");
-    }
-
-    /** Value of --stats-json: machine-readable statistics dump path. */
-    std::string statsJsonPath() const { return getString("stats-json"); }
-
-    /** Value of --stats-interval-ms (0 disables interval sampling). */
-    std::uint64_t
-    statsIntervalMs() const
-    {
-        return getU64("stats-interval-ms", 0);
-    }
-
-    /** Value of --stats-interval-out (per-interval CSV path). */
-    std::string
-    statsIntervalPath() const
-    {
-        return getString("stats-interval-out");
-    }
-
-    /** Value of --heatmap-out: spatial refresh heatmap JSON path. */
-    std::string heatmapOutPath() const { return getString("heatmap-out"); }
-
-    /** Value of --telemetry-out: live NDJSON telemetry stream path. */
-    std::string
-    telemetryOutPath() const
-    {
-        return getString("telemetry-out");
-    }
-
-    /** @name Audit / ledger output flags. */
-    ///@{
-    /** Value of --audit-out: binary refresh-audit trail path. */
-    std::string auditOutPath() const { return getString("audit-out"); }
-
-    /** Value of --audit-json: NDJSON refresh-audit trail path. */
-    std::string auditJsonPath() const { return getString("audit-json"); }
-
-    /** Value of --ledger-out: energy attribution ledger JSON path. */
-    std::string ledgerOutPath() const { return getString("ledger-out"); }
-
-    /** Value of --ledger-csv: per-interval ledger grid CSV path. */
-    std::string ledgerCsvPath() const { return getString("ledger-csv"); }
-
-    /**
-     * Value of --ledger-check: conservation-check JSON path (shadow
-     * totals in the stats-JSON shape, for smartref_statdiff --subset).
-     */
-    std::string
-    ledgerCheckPath() const
-    {
-        return getString("ledger-check");
-    }
-    ///@}
+    /** The --help text, generated from the table. */
+    std::string usage() const;
 
   private:
+    /** The declared row of `name`; null for an undeclared standard one. */
+    const CliFlag *find(const std::string &name) const;
+
+    CliSpec spec_;
     std::map<std::string, std::string> values_;
+    std::vector<std::string> operands_;
 };
+
+/**
+ * A binary's whole main(): parse argv against `spec`, answer --help and
+ * --version, else return `body(args)`. A std::runtime_error (user
+ * error) prints one "error: " line and exits 2; a panic still aborts.
+ */
+int runCli(const CliSpec &spec, int argc, char **argv,
+           int (*body)(const CliArgs &));
 
 } // namespace smartref

@@ -1,5 +1,6 @@
 #include "harness/sweep_spec.hh"
 
+#include <cmath>
 #include <fstream>
 #include <sstream>
 
@@ -60,33 +61,54 @@ parseSweepGrid(const std::string &jsonText)
         SMARTREF_FATAL("sweep grid JSON must be an object");
 
     SweepGrid grid;
-    auto strings = [](const minijson::Value &v) {
-        std::vector<std::string> out;
-        for (const auto &e : v.array)
-            out.push_back(e.str);
-        return out;
-    };
     for (const auto &[key, value] : root.object) {
+        // Every member has one JSON type; anything else names the member.
+        const auto need = [&key = key](bool ok, const std::string &what) {
+            if (!ok)
+                SMARTREF_FATAL("sweep grid member '", key, "' needs ", what);
+        };
+        const auto strings = [&] {
+            need(value.isArray(), "an array of strings");
+            std::vector<std::string> out;
+            for (const auto &e : value.array) {
+                need(e.isString(), "an array of strings");
+                out.push_back(e.str);
+            }
+            return out;
+        };
+        // `max` is at most 2^53, where doubles stop being exact, so the
+        // cast is defined.
+        const auto wholes = [&](std::uint64_t max) {
+            const std::string what =
+                "an array of whole numbers up to " + std::to_string(max);
+            need(value.isArray(), what);
+            std::vector<std::uint64_t> out;
+            for (const auto &e : value.array) {
+                const double x = e.number;
+                need(e.isNumber() && x >= 0 && x <= max && x == std::floor(x),
+                     what);
+                out.push_back(static_cast<std::uint64_t>(x));
+            }
+            return out;
+        };
         if (key == "name") {
+            need(value.isString(), "a string");
             grid.name = value.str;
         } else if (key == "configs") {
-            grid.configs = strings(value);
+            grid.configs = strings();
         } else if (key == "benchmarks") {
-            grid.benchmarks = strings(value);
+            grid.benchmarks = strings();
         } else if (key == "policies") {
-            grid.policies = strings(value);
+            grid.policies = strings();
         } else if (key == "counterBits") {
             grid.counterBits.clear();
-            for (const auto &e : value.array)
+            for (std::uint64_t bits : wholes(UINT32_MAX))
                 grid.counterBits.push_back(
-                    static_cast<std::uint32_t>(e.number));
+                    static_cast<std::uint32_t>(bits));
         } else if (key == "retentionMs") {
-            grid.retentionMs.clear();
-            for (const auto &e : value.array)
-                grid.retentionMs.push_back(
-                    static_cast<std::uint64_t>(e.number));
+            grid.retentionMs = wholes(std::uint64_t{1} << 53);
         } else if (key == "parallelism") {
-            grid.parallelism = strings(value);
+            grid.parallelism = strings();
         } else {
             SMARTREF_FATAL("unknown sweep grid member '", key, "'",
                            didYouMean(key,

@@ -2,7 +2,8 @@
  * @file
  * A tiny recursive-descent JSON parser. Parses the full JSON grammar
  * into a variant-like Value tree; throws std::runtime_error with a
- * byte offset on malformed input.
+ * byte offset on malformed input, and on arrays and objects nested
+ * deeper than Parser::kMaxDepth (instead of overflowing the stack).
  *
  * Two consumers: test assertions over the simulator's JSON outputs
  * ("is this valid JSON, and does it contain what we wrote?"), and the
@@ -75,6 +76,9 @@ namespace detail {
 class Parser
 {
   public:
+    /** Far above anything the simulator writes or reads. */
+    static constexpr int kMaxDepth = 256;
+
     explicit Parser(const std::string &text) : text_(text) {}
 
     Value
@@ -137,9 +141,16 @@ class Parser
     parseValue()
     {
         skipWs();
-        switch (peek()) {
-          case '{': return parseObject();
-          case '[': return parseArray();
+        const char c = peek();
+        if (c == '{' || c == '[') {
+            if (depth_ == kMaxDepth)
+                fail("nesting deeper than " + std::to_string(kMaxDepth));
+            ++depth_;
+            Value v = c == '{' ? parseObject() : parseArray();
+            --depth_;
+            return v;
+        }
+        switch (c) {
           case '"': return parseString();
           case 't': case 'f': return parseBool();
           case 'n': return parseNull();
@@ -286,6 +297,7 @@ class Parser
 
     const std::string &text_;
     std::size_t pos_ = 0;
+    int depth_ = 0; ///< arrays and objects open at pos_
 };
 
 } // namespace detail

@@ -281,8 +281,9 @@ TEST(ResultCacheRobustness, CorruptEntriesAreMissesAndGetOverwritten)
         EXPECT_TRUE(cache.lookup(key, ok));
     };
     // Truncation, garbage, valid JSON of the wrong schema, an entry
-    // whose key does not match its file name, and a schema-valid entry
-    // with a missing member: all are misses, none may throw.
+    // whose key does not match its file name, a schema-valid entry
+    // with a missing member, and nesting deep enough to overflow a
+    // recursive parser's stack: all are misses, none may throw.
     expectCorruptMiss("{\"schema\":\"smartref-result-cache-v1\",");
     expectCorruptMiss("not json at all");
     expectCorruptMiss("{\"schema\":\"smartref-ledger-v1\"}");
@@ -300,13 +301,14 @@ TEST(ResultCacheRobustness, CorruptEntriesAreMissesAndGetOverwritten)
         entry.erase(pos, entry.find(',', pos) - pos + 1);
         expectCorruptMiss(entry);
     }
-    EXPECT_EQ(cache.stats().corrupt, 5u);
+    expectCorruptMiss(std::string(200000, '['));
+    EXPECT_EQ(cache.stats().corrupt, 6u);
 
     // An absent entry is a plain miss, not a corrupt one.
     ASSERT_TRUE(fs::remove(path));
     SweepJobResult r;
     EXPECT_FALSE(cache.lookup(key, r));
-    EXPECT_EQ(cache.stats().corrupt, 5u);
+    EXPECT_EQ(cache.stats().corrupt, 6u);
 }
 
 TEST(ResultCacheRobustness, ConcurrentStoresOfTheSameKeyAreSafe)

@@ -70,6 +70,45 @@ TEST(RetentionClassMap, IdealRateBelowBaseline)
     EXPECT_GT(ideal, 2048000.0 * 0.25);
 }
 
+TEST(RetentionAware, RefreshesAtTheIdealClassRate)
+{
+    // RAPID's bound end to end: after a warm-up, a 2 GB retention-aware
+    // run refreshes every row exactly once per class deadline, never
+    // later (0 violations) and never earlier, idle or under traffic.
+    const DramConfig dram = ddr2_2GB();
+    RetentionClassParams params;
+    params.seed = 42;
+    auto classes =
+        std::make_shared<RetentionClassMap>(dram.org.totalRows(), params);
+    const Tick retention = dram.timing.retention;
+    const double ideal = classes->idealRefreshRate(retention);
+    EXPECT_NEAR(ideal, 685769.53, 0.01);
+    // A window of 4 x 64 ms is a whole number of every class period.
+    const Tick window = 4 * retention;
+    const std::uint64_t perWindow = 4 * classes->population(1) +
+                                    2 * classes->population(2) +
+                                    classes->population(4);
+    for (const bool traffic : {false, true}) {
+        System sys(classySystem(PolicyKind::RetentionAware, dram, classes));
+        for (const auto &wp :
+             traffic ? conventionalParams(findProfile("mummer"), dram)
+                     : std::vector<WorkloadParams>{idleParams(dram)})
+            sys.addWorkload(wp);
+        sys.run(window);
+        const std::uint64_t warm = sys.dram().totalRefreshes();
+        sys.run(window);
+        const std::uint64_t refreshes = sys.dram().totalRefreshes() - warm;
+        EXPECT_EQ(refreshes, perWindow) << "traffic " << traffic;
+        EXPECT_DOUBLE_EQ(static_cast<double>(refreshes) /
+                             (static_cast<double>(window) /
+                              static_cast<double>(kSecond)),
+                         ideal);
+        EXPECT_EQ(sys.dram().retention().violations(), 0u);
+        EXPECT_EQ(
+            sys.dram().retention().finalCheck(sys.eventQueue().now()), 0u);
+    }
+}
+
 TEST(RetentionClassMap, RejectsBadParams)
 {
     RetentionClassParams bad;

@@ -236,6 +236,38 @@ TEST(SweepGridTest, JsonDefaultsAndErrors)
     EXPECT_THROW(parseSweepGrid("{nope"), std::runtime_error);
     EXPECT_THROW(parseSweepGrid(R"({"benchmark":["gcc"]})"),
                  std::runtime_error);
+    // Nesting past the parser's limit is an error, not a stack
+    // overflow (50,000 deep used to segfault).
+    EXPECT_THROW(parseSweepGrid(std::string(50000, '[')),
+                 std::runtime_error);
+
+    // Every member has its JSON type, and an error names the member.
+    const std::string strings = "needs an array of strings";
+    const std::string wholes = "needs an array of whole numbers";
+    const std::vector<std::pair<std::string, std::string>> typed = {
+        // Used to expand to 0 jobs and exit 0.
+        {R"({"configs":"2gb"})", "'configs' " + strings},
+        {R"({"benchmarks":["gcc",3]})", "'benchmarks' " + strings},
+        {R"({"name":["x"]})", "'name' needs a string"},
+        {R"({"policies":{}})", "'policies' " + strings},
+        {R"({"parallelism":[null]})", "'parallelism' " + strings},
+        // Used to run 2 bits.
+        {R"({"counterBits":[2.5]})", "'counterBits' " + wholes},
+        // Used to cast -1 to uint32_t (undefined behaviour).
+        {R"({"counterBits":[-1]})", "'counterBits' " + wholes},
+        {R"({"counterBits":[1e10]})", "'counterBits' " + wholes},
+        {R"({"counterBits":["3"]})", "'counterBits' " + wholes},
+        {R"({"retentionMs":[1e300]})", "'retentionMs' " + wholes},
+    };
+    for (const auto &[json, message] : typed) {
+        try {
+            parseSweepGrid(json);
+            ADD_FAILURE() << json << " parsed";
+        } catch (const std::runtime_error &e) {
+            EXPECT_NE(std::string(e.what()).find(message), std::string::npos)
+                << json << ": " << e.what();
+        }
+    }
 }
 
 namespace {

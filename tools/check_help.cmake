@@ -1,6 +1,6 @@
 # Runs `TOOL --help` and `TOOL -h` in a fresh, empty DIR. Each must print
-# the tool's usage block, exit 0, and leave DIR empty: asking for help
-# must not start a run or write any output file.
+# the usage generated from the tool's flag table, exit 0, and leave DIR
+# empty: asking for help must not start a run or write any output file.
 #
 #   cmake -DTOOL=<binary> -DDIR=<work dir> -P check_help.cmake
 file(REMOVE_RECURSE "${DIR}")
@@ -15,7 +15,7 @@ foreach(flag --help -h)
     if(NOT rc EQUAL 0)
         message(FATAL_ERROR "${TOOL} ${flag} exited with '${rc}': ${err}")
     endif()
-    if(NOT out MATCHES "^usage:")
+    if(NOT out MATCHES "^usage:" OR NOT out MATCHES "\n  --help, -h ")
         message(FATAL_ERROR "${TOOL} ${flag} printed no usage:\n${out}")
     endif()
     file(GLOB left "${DIR}/*")

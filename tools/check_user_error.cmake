@@ -1,6 +1,6 @@
 # Runs `TOOL ARGS...` in a fresh, empty DIR and expects a user error: exit
 # code 2 (not an abort) and MESSAGE on stderr after "error: fatal: ",
-# printed once.
+# printed once, on the only "error: " line.
 #
 #   cmake -DTOOL=<binary> "-DARGS=<args>" "-DMESSAGE=<text>" -DDIR=<dir>
 #         -P check_user_error.cmake
@@ -26,4 +26,10 @@ string(FIND "${err}" "${MESSAGE}" last REVERSE)
 if(NOT first EQUAL last)
     message(FATAL_ERROR "${TOOL} ${ARGS} printed '${MESSAGE}' more than "
                         "once:\n${err}")
+endif()
+string(REGEX MATCHALL "error: " errors "${err}")
+list(LENGTH errors lines)
+if(NOT lines EQUAL 1)
+    message(FATAL_ERROR "${TOOL} ${ARGS} printed ${lines} 'error: ' lines:"
+                        "\n${err}")
 endif()

@@ -10,16 +10,7 @@
  * how do two runs differ. File types are auto-detected (binary
  * "SRAUDIT" magic vs JSON schema), so there are no subcommands.
  *
- * Usage:
- *   smartref_inspect FILE [FILE_B]
- *                    [--outcome NAME]   keep one decision outcome
- *                    [--channel N]      keep one memory channel
- *                    [--rank N] [--bank N]
- *                    [--from-ms X] [--to-ms X]  simulated-time window
- *                    [--top N]          top rows (audit) / cells (ledger)
- *                    [--histogram]      decision histogram only
- *                    [--records N]      dump N matching records (NDJSON)
- *                    [--version]        print the provenance build block
+ * Usage: smartref_inspect FILE [FILE_B] [flags]; see --help.
  *
  * With two files of the same kind the tool diffs them: per-outcome
  * counts for audits, component totals for ledgers, counter deltas and
@@ -48,7 +39,6 @@
 #include "harness/report.hh"
 #include "sim/logging.hh"
 #include "sim/mini_json.hh"
-#include "sim/provenance.hh"
 #include "sim/suggest.hh"
 #include "sim/types.hh"
 
@@ -56,16 +46,20 @@ using namespace smartref;
 
 namespace {
 
-int
-usage(const char *argv0)
-{
-    std::cerr << "usage: " << argv0
-              << " FILE [FILE_B] [--outcome NAME] [--channel N]"
-                 " [--rank N] [--bank N]"
-                 " [--from-ms X] [--to-ms X] [--top N] [--histogram]"
-                 " [--records N]\n";
-    return 2;
-}
+const CliSpec kSpec = {
+    "smartref_inspect",
+    {"FILE", "[FILE_B]"},
+    {
+        {"outcome", "NAME", "keep one decision outcome"},
+        {"channel", "N", "keep one memory channel"},
+        {"rank", "N", "keep one rank"},
+        {"bank", "N", "keep one bank"},
+        {"from-ms", "X", "simulated-time window start"},
+        {"to-ms", "X", "simulated-time window end"},
+        {"top", "N", "top rows (audit) / cells (ledger)", "10"},
+        {"histogram", "", "decision histogram only"},
+        {"records", "N", "dump N matching records (NDJSON)", "0"},
+    }};
 
 /** Record filters shared by the audit and ledger views. */
 struct Filters
@@ -687,120 +681,89 @@ diffMetrics(const minijson::Value &a, const minijson::Value &b)
     return differ ? 1 : 0;
 }
 
+int
+run(const CliArgs &args)
+{
+    const std::vector<std::string> &files = args.operands();
+    Filters filters;
+    if (args.has("outcome")) {
+        const std::string name = args.getString("outcome");
+        filters.hasOutcome = true;
+        if (!parseAuditOutcome(name, filters.outcome))
+            SMARTREF_FATAL("unknown outcome '", name, "'",
+                           didYouMean(name, auditOutcomeNames()));
+    }
+    // An absent coordinate matches any; an absent time leaves the window
+    // open. Numbers parse whole.
+    const auto coordinate = [&](const std::string &name) {
+        return args.has(name) ? static_cast<long>(parseWhole(
+                                    "--" + name, args.getString(name), 0,
+                                    LONG_MAX))
+                              : -1L;
+    };
+    const auto milliseconds = [&](const std::string &name) {
+        const std::string v = args.has(name) ? args.getString(name) : "-1";
+        char *end = nullptr;
+        const double ms = std::strtod(v.c_str(), &end);
+        if (end == v.c_str() || *end != '\0' || !std::isfinite(ms))
+            SMARTREF_FATAL("--", name, " needs a number, got '", v, "'");
+        return ms;
+    };
+    filters.channel = coordinate("channel");
+    filters.rank = coordinate("rank");
+    filters.bank = coordinate("bank");
+    filters.fromMs = milliseconds("from-ms");
+    filters.toMs = milliseconds("to-ms");
+    const auto top = static_cast<std::size_t>(args.getU64("top"));
+    const std::uint64_t records = args.getU64("records");
+
+    const bool auditA = isAuditFile(files[0]);
+    if (files.size() == 2) {
+        if (auditA != isAuditFile(files[1]))
+            SMARTREF_FATAL("cannot diff an audit trail against a "
+                           "ledger");
+        if (auditA)
+            return diffAudits(loadAudit(files[0]),
+                              loadAudit(files[1]), filters);
+        const minijson::Value ja = loadJsonFile(files[0]);
+        const minijson::Value jb = loadJsonFile(files[1]);
+        const bool metricsA = isMetricsSnapshot(ja);
+        if (metricsA != isMetricsSnapshot(jb))
+            SMARTREF_FATAL("cannot diff a metrics snapshot against "
+                           "a ledger");
+        if (metricsA)
+            return diffMetrics(ja, jb);
+        return diffLedgers(asLedger(ja, files[0]),
+                           asLedger(jb, files[1]));
+    }
+    if (auditA) {
+        inspectAudit(loadAudit(files[0]), filters, top, records,
+                     args.has("histogram"));
+        return 0;
+    }
+    const minijson::Value root = loadJsonFile(files[0]);
+    if (isCacheEntry(root)) {
+        inspectCacheEntry(root);
+        return 0;
+    }
+    if (isMetricsSnapshot(root)) {
+        inspectMetrics(root);
+        return 0;
+    }
+    if (!root.has("schema") ||
+        root.at("schema").str != "smartref-ledger-v1")
+        SMARTREF_FATAL("'", files[0],
+                       "' is neither an audit trail, a ledger, a "
+                       "result-cache entry, nor a metrics "
+                       "snapshot");
+    inspectLedger(root, filters, top);
+    return 0;
+}
+
 } // namespace
 
 int
 main(int argc, char **argv)
 {
-    try {
-        std::vector<std::string> files;
-        Filters filters;
-        std::size_t top = 10;
-        std::uint64_t records = 0;
-        bool histogramOnly = false;
-        for (int i = 1; i < argc; ++i) {
-            const std::string arg = argv[i];
-            auto value = [&]() -> std::string {
-                if (i + 1 >= argc) {
-                    std::cerr << arg << " needs a value\n";
-                    std::exit(usage(argv[0]));
-                }
-                return argv[++i];
-            };
-            // Numbers parse whole, as CliArgs::getU64 does: "5x" or
-            // "abc" is a user error, not 5 or an abort.
-            auto whole = [&](std::uint64_t max) {
-                return parseWhole(arg, value(), 0, max);
-            };
-            auto milliseconds = [&] {
-                const std::string v = value();
-                char *end = nullptr;
-                const double ms = std::strtod(v.c_str(), &end);
-                if (end == v.c_str() || *end != '\0' || !std::isfinite(ms))
-                    SMARTREF_FATAL(arg, " needs a number, got '", v, "'");
-                return ms;
-            };
-            if (arg == "--version") {
-                std::cout << versionText("smartref_inspect");
-                return 0;
-            } else if (arg == "--help" || arg == "-h") {
-                usage(argv[0]);
-                return 0;
-            } else if (arg == "--outcome") {
-                const std::string name = value();
-                filters.hasOutcome = true;
-                if (!parseAuditOutcome(name, filters.outcome))
-                    SMARTREF_FATAL("unknown outcome '", name, "'",
-                                   didYouMean(name, auditOutcomeNames()));
-            } else if (arg == "--channel") {
-                filters.channel = static_cast<long>(whole(LONG_MAX));
-            } else if (arg == "--rank") {
-                filters.rank = static_cast<long>(whole(LONG_MAX));
-            } else if (arg == "--bank") {
-                filters.bank = static_cast<long>(whole(LONG_MAX));
-            } else if (arg == "--from-ms") {
-                filters.fromMs = milliseconds();
-            } else if (arg == "--to-ms") {
-                filters.toMs = milliseconds();
-            } else if (arg == "--top") {
-                top = static_cast<std::size_t>(whole(SIZE_MAX));
-            } else if (arg == "--records") {
-                records = whole(UINT64_MAX);
-            } else if (arg == "--histogram") {
-                histogramOnly = true;
-            } else if (!arg.empty() && arg[0] == '-') {
-                std::cerr << "unknown flag '" << arg << "'\n";
-                return usage(argv[0]);
-            } else {
-                files.push_back(arg);
-            }
-        }
-        if (files.empty() || files.size() > 2)
-            return usage(argv[0]);
-
-        const bool auditA = isAuditFile(files[0]);
-        if (files.size() == 2) {
-            if (auditA != isAuditFile(files[1]))
-                SMARTREF_FATAL("cannot diff an audit trail against a "
-                               "ledger");
-            if (auditA)
-                return diffAudits(loadAudit(files[0]),
-                                  loadAudit(files[1]), filters);
-            const minijson::Value ja = loadJsonFile(files[0]);
-            const minijson::Value jb = loadJsonFile(files[1]);
-            const bool metricsA = isMetricsSnapshot(ja);
-            if (metricsA != isMetricsSnapshot(jb))
-                SMARTREF_FATAL("cannot diff a metrics snapshot against "
-                               "a ledger");
-            if (metricsA)
-                return diffMetrics(ja, jb);
-            return diffLedgers(asLedger(ja, files[0]),
-                               asLedger(jb, files[1]));
-        }
-        if (auditA) {
-            inspectAudit(loadAudit(files[0]), filters, top, records,
-                         histogramOnly);
-            return 0;
-        }
-        const minijson::Value root = loadJsonFile(files[0]);
-        if (isCacheEntry(root)) {
-            inspectCacheEntry(root);
-            return 0;
-        }
-        if (isMetricsSnapshot(root)) {
-            inspectMetrics(root);
-            return 0;
-        }
-        if (!root.has("schema") ||
-            root.at("schema").str != "smartref-ledger-v1")
-            SMARTREF_FATAL("'", files[0],
-                           "' is neither an audit trail, a ledger, a "
-                           "result-cache entry, nor a metrics "
-                           "snapshot");
-        inspectLedger(root, filters, top);
-        return 0;
-    } catch (const std::exception &e) {
-        std::cerr << "error: " << e.what() << "\n";
-        return 2;
-    }
+    return runCli(kSpec, argc, argv, run);
 }

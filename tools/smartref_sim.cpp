@@ -7,7 +7,7 @@
  * workload can be a named benchmark profile, the idle/light special
  * profiles, or a recorded trace file (DRAMsim-style trace-driven mode).
  *
- * Usage: see kUsage below (printed by --help / -h).
+ * Usage: smartref_sim --help.
  */
 
 #include <bit>
@@ -16,7 +16,6 @@
 #include <iostream>
 #include <memory>
 #include <sstream>
-#include <stdexcept>
 #include <vector>
 
 #include "ctrl/refresh_audit.hh"
@@ -37,46 +36,50 @@ using namespace smartref;
 
 namespace {
 
-constexpr const char *kUsage = R"(usage:
-  smartref_sim [--config 2gb|4gb|128gb|256gb|512gb|3d64|3d64-32ms|
-                         3d32|edram]
-               [--policy cbr|burst|ras-only|per-bank|smart|
-                         retention-aware]
-               [--parallelism none|refpb|darp|sarp|all]
-                                     refresh-access parallelism mode
-               [--classes]           RAPID-style retention classes
-               [--sparse-counters]   lazily-chunked counter array
-               [-j N]                shard workers for multi-channel
-                                     configs (aggregates are
-                                     byte-identical for any N)
-               [--benchmark NAME | --idle | --light | --trace FILE]
-               [--threed]            use the 3D cache system assembly
-               [--warmup-ms N] [--measure-ms N]
-               [--bits B] [--segments N] [--no-auto] [--seed S]
-               [--scheme row-rank-bank|row-bank-rank|rank-bank-row]
-               [--stats-out FILE]    dump the full statistics tree
-               [--stats-json FILE]   machine-readable statistics dump
-               [--stats-interval-ms N]  per-interval time series
-               [--stats-interval-out FILE]
-               [--interval-cols LIST]  extra interval columns by dotted
-                                     stat path (validated up front)
-               [--heatmap-out FILE]  spatial refresh heatmap JSON
-                                     (+ .csv sibling)
-               [--audit-out FILE]    binary refresh decision audit trail
-               [--audit-json FILE]   NDJSON audit trail
-               [--ledger-out FILE]   energy attribution ledger JSON
-               [--ledger-csv FILE]   per-interval ledger grid CSV
-               [--ledger-check FILE] conservation-check JSON (for
-                                     smartref_statdiff --subset)
-               [--check-conservation]  verify the ledger invariant
-               [--trace-out FILE]    Chrome trace_event JSON timeline
-               [--trace-csv FILE]    compact CSV timeline
-               [--trace-categories LIST]  e.g. refresh,counter (def all)
-               [--log-level silent|warn|info|debug]
-               [--list]              list benchmark profiles and exit
-               [--version]           print the provenance build block
-               [--help | -h]         print this usage and exit
-)";
+const CliSpec kSpec = {
+    "smartref_sim",
+    {},
+    {
+        {"config", "NAME",
+         "2gb|4gb|128gb|256gb|512gb|edram; 3D cache: 3d64|3d64-32ms|3d32",
+         "2gb"},
+        {"policy", "NAME", "cbr|burst|ras-only|per-bank|smart|retention-aware",
+         "smart"},
+        {"parallelism", "MODE", "none|refpb|darp|sarp|all (default: config)"},
+        {"classes", "", "RAPID-style retention classes"},
+        {"sparse-counters"},
+        {"j", "", "shard workers, byte-identical for any N; bare -j: all"},
+        {"benchmark", "NAME", "workload profile, see --list", "mummer"},
+        {"idle", "", "idle-OS traffic instead of a benchmark"},
+        {"light", "", "light-activity traffic instead of a benchmark"},
+        {"trace", "FILE", "replay a recorded access trace instead"},
+        {"warmup-ms"},
+        {"measure-ms"},
+        {"bits"},
+        {"segments"},
+        {"no-auto"},
+        {"seed"},
+        {"scheme", "NAME", "row-rank-bank|row-bank-rank|rank-bank-row",
+         "row-rank-bank"},
+        {"stats-out", "FILE", "full statistics tree"},
+        {"stats-json", "FILE", "statistics as JSON"},
+        {"stats-interval-ms", "N", "interval series period, 0: off", "0"},
+        {"stats-interval-out", "FILE", "interval CSV", "stats_intervals.csv"},
+        {"interval-cols", "LIST", "more interval columns, dotted stat paths"},
+        {"heatmap-out", "FILE", "refresh heatmap JSON (+ .csv sibling)"},
+        {"audit-out", "FILE", "binary refresh decision audit trail"},
+        {"audit-json", "FILE", "NDJSON refresh decision audit trail"},
+        {"ledger-out", "FILE", "energy attribution ledger JSON"},
+        {"ledger-csv", "FILE", "per-interval ledger CSV"},
+        {"ledger-check", "FILE", "conservation check for statdiff --subset"},
+        {"check-conservation", "", "verify the energy-ledger invariant"},
+        {"trace-out", "FILE", "Chrome trace_event JSON timeline"},
+        {"trace-csv", "FILE", "compact CSV timeline"},
+        {"trace-categories", "LIST", "e.g. refresh,counter", "all"},
+        {"log-level"},
+        {"verbose"},
+        {"list", "", "list benchmark profiles and exit"},
+    }};
 
 AddressScheme
 schemeByName(const std::string &name)
@@ -145,26 +148,14 @@ void
 configureTracer(const CliArgs &args)
 {
     Tracer &tracer = globalTracer();
-    tracer.setCategories(parseTraceCategories(args.traceCategories()));
-    if (!args.traceOutPath().empty())
+    tracer.setCategories(
+        parseTraceCategories(args.getString("trace-categories")));
+    if (args.has("trace-out"))
         tracer.addSink(
-            std::make_unique<ChromeTraceSink>(args.traceOutPath()));
-    if (!args.traceCsvPath().empty())
+            std::make_unique<ChromeTraceSink>(args.getString("trace-out")));
+    if (args.has("trace-csv"))
         tracer.addSink(
-            std::make_unique<CsvTraceSink>(args.traceCsvPath()));
-}
-
-/** Split a comma-separated list, dropping empty tokens. */
-std::vector<std::string>
-splitCommas(const std::string &list)
-{
-    std::vector<std::string> out;
-    std::string token;
-    std::istringstream in(list);
-    while (std::getline(in, token, ','))
-        if (!token.empty())
-            out.push_back(token);
-    return out;
+            std::make_unique<CsvTraceSink>(args.getString("trace-csv")));
 }
 
 /** Every full dotted stat path below @p group, for did-you-mean. */
@@ -188,7 +179,7 @@ makeSampler(const CliArgs &args, const StatGroup &root, EventQueue &eq,
             MemoryController &ctrl, DramModule &dram,
             SmartRefreshPolicy *smart)
 {
-    const std::uint64_t ms = args.statsIntervalMs();
+    const std::uint64_t ms = args.getU64("stats-interval-ms");
     const std::string cols = args.getString("interval-cols");
     if (ms == 0) {
         if (!cols.empty())
@@ -219,7 +210,7 @@ makeSampler(const CliArgs &args, const StatGroup &root, EventQueue &eq,
                               [s] { return statValue(*s); });
         }
     }
-    for (const std::string &path : splitCommas(cols)) {
+    for (const std::string &path : splitList(cols)) {
         const StatBase *s = root.resolveStat(path);
         if (!s) {
             std::vector<std::string> names;
@@ -260,41 +251,40 @@ finishLedgerAudit(const CliArgs &args, const DramModule *dram,
         RunMeta meta;
         meta.schema = "smartref-ledger-v1";
         meta.configHash = configHash;
-        if (!args.ledgerOutPath().empty()) {
-            ledger->writeJson(args.ledgerOutPath(), metaJson(meta));
-            std::cout << "energy ledger written to "
-                      << args.ledgerOutPath() << "\n";
+        if (const std::string path = args.getString("ledger-out");
+            !path.empty()) {
+            ledger->writeJson(path, metaJson(meta));
+            std::cout << "energy ledger written to " << path << "\n";
         }
-        if (!args.ledgerCsvPath().empty()) {
-            ledger->writeCsv(args.ledgerCsvPath());
-            std::cout << "energy ledger CSV written to "
-                      << args.ledgerCsvPath() << "\n";
+        if (const std::string path = args.getString("ledger-csv");
+            !path.empty()) {
+            ledger->writeCsv(path);
+            std::cout << "energy ledger CSV written to " << path << "\n";
         }
-        if (!args.ledgerCheckPath().empty()) {
+        if (const std::string path = args.getString("ledger-check");
+            !path.empty()) {
             SMARTREF_ASSERT(dram,
                             "--ledger-check needs a single-module run");
             RunMeta checkMeta;
             checkMeta.schema = "smartref-stats-v1";
             checkMeta.configHash = configHash;
             ledger->writeConservationCheckJson(
-                args.ledgerCheckPath(), dram->power().fullStatName(),
-                metaJson(checkMeta));
-            std::cout << "conservation check written to "
-                      << args.ledgerCheckPath() << "\n";
+                path, dram->power().fullStatName(), metaJson(checkMeta));
+            std::cout << "conservation check written to " << path << "\n";
         }
     }
     if (audit) {
-        if (!args.auditOutPath().empty()) {
-            audit->writeBinary(args.auditOutPath());
+        if (const std::string path = args.getString("audit-out");
+            !path.empty()) {
+            audit->writeBinary(path);
             std::cout << "audit trail (" << audit->total()
-                      << " records) written to " << args.auditOutPath()
-                      << "\n";
+                      << " records) written to " << path << "\n";
         }
-        if (!args.auditJsonPath().empty()) {
-            audit->writeNdjson(args.auditJsonPath());
+        if (const std::string path = args.getString("audit-json");
+            !path.empty()) {
+            audit->writeNdjson(path);
             std::cout << "audit NDJSON (" << audit->total()
-                      << " records) written to " << args.auditJsonPath()
-                      << "\n";
+                      << " records) written to " << path << "\n";
         }
     }
 }
@@ -308,22 +298,20 @@ finishObservability(const CliArgs &args, const StatGroup &root,
 {
     if (sampler) {
         sampler->finish();
-        std::string path = args.statsIntervalPath();
-        if (path.empty())
-            path = "stats_intervals.csv";
+        const std::string path = args.getString("stats-interval-out");
         sampler->writeCsv(path);
         std::cout << "interval statistics written to " << path << "\n";
     }
-    if (!args.statsJsonPath().empty()) {
+    if (const std::string path = args.getString("stats-json");
+        !path.empty()) {
         RunMeta meta;
         meta.schema = "smartref-stats-v1";
         meta.configHash = configHash;
-        writeStatsJson(root, args.statsJsonPath(), metaJson(meta));
-        std::cout << "JSON statistics written to "
-                  << args.statsJsonPath() << "\n";
+        writeStatsJson(root, path, metaJson(meta));
+        std::cout << "JSON statistics written to " << path << "\n";
     }
     if (heatmap) {
-        const std::string path = args.heatmapOutPath();
+        const std::string path = args.getString("heatmap-out");
         std::ofstream out(path);
         if (!out)
             SMARTREF_FATAL("cannot write heatmap JSON '", path, "'");
@@ -348,17 +336,8 @@ finishObservability(const CliArgs &args, const StatGroup &root,
 }
 
 int
-run(int argc, char **argv)
+run(const CliArgs &args)
 {
-    if (helpRequested(argc, argv)) {
-        std::cout << kUsage;
-        return 0;
-    }
-    CliArgs args(argc, argv);
-    if (args.has("version")) {
-        std::cout << versionText("smartref_sim");
-        return 0;
-    }
     if (args.has("list")) {
         listProfiles();
         return 0;
@@ -366,16 +345,34 @@ run(int argc, char **argv)
 
     const ExperimentOptions opts = args.experimentOptions();
     setLogLevel(opts.logLevel);
-    configureTracer(args);
-    DramConfig dram = dramConfigByName(args.getString("config", "2gb"));
+    const std::string configName = args.getString("config");
+    DramConfig dram = dramConfigByName(configName);
     if (args.has("parallelism"))
         dram.parallelism =
             parallelismFromString(args.getString("parallelism"));
-    const PolicyKind policy =
-        policyFromString(args.getString("policy", "smart"));
+    const PolicyKind policy = policyFromString(args.getString("policy"));
+    // Flags an assembly cannot honour yet are fatal, not ignored: the 3D
+    // cache takes a benchmark workload only, and a multi-channel run has
+    // no single-channel observers.
+    const bool threed = isThreeDConfigName(configName);
+    static const std::vector<std::string> threeDFlags = {
+        "classes", "idle", "light", "trace", "scheme"};
+    static const std::vector<std::string> multiChannelFlags = {
+        "trace", "trace-out", "trace-csv", "stats-out", "stats-json",
+        "stats-interval-ms", "stats-interval-out", "interval-cols",
+        "ledger-check", "classes"};
+    for (const std::string &flag :
+         threed ? threeDFlags
+                : dram.channels > 1 ? multiChannelFlags
+                                    : std::vector<std::string>{}) {
+        if (args.has(flag))
+            SMARTREF_FATAL("--", flag, " is not yet supported with ",
+                           threed ? "a 3D config" : "channels > 1",
+                           " (config '", dram.name, "')");
+    }
+    configureTracer(args);
     const std::string tracePath = args.getString("trace");
     const std::string statsOut = args.getString("stats-out");
-    const bool threed = args.has("threed");
 
     SmartRefreshConfig smart;
     smart.counterBits = opts.counterBits;
@@ -404,20 +401,18 @@ run(int argc, char **argv)
            << ";warmupMs=" << opts.warmup / kMillisecond
            << ";measureMs=" << opts.measure / kMillisecond
            << ";seed=" << opts.seed << ";workload="
-           << (tracePath.empty() ? args.getString("benchmark", "mummer")
+           << (tracePath.empty() ? args.getString("benchmark")
                                  : "trace:" + tracePath);
     const std::string configHash = hex64(fnv1a64(cfgKey.str()));
 
-    const bool wantAudit =
-        !args.auditOutPath().empty() || !args.auditJsonPath().empty();
     std::unique_ptr<RefreshAudit> audit;
-    if (wantAudit) {
+    if (args.has("audit-out") || args.has("audit-json")) {
         audit = std::make_unique<RefreshAudit>(RefreshAudit::Shape{
             dram.org.ranks, dram.org.banks, dram.org.rows});
     }
     std::unique_ptr<EnergyLedger> ledger;
-    if (args.has("check-conservation") || !args.ledgerOutPath().empty() ||
-        !args.ledgerCsvPath().empty() || !args.ledgerCheckPath().empty()) {
+    if (args.has("check-conservation") || args.has("ledger-out") ||
+        args.has("ledger-csv") || args.has("ledger-check")) {
         // Multi-channel runs merge into a channel-major rank axis
         // (channel = rank / org.ranks); single-channel shapes are
         // unchanged (channels == 1).
@@ -433,7 +428,7 @@ run(int argc, char **argv)
         cfg.threeDPolicy = policy;
         cfg.smart = smart;
         std::unique_ptr<RefreshHeatmap> heatmap;
-        if (!args.heatmapOutPath().empty()) {
+        if (args.has("heatmap-out")) {
             heatmap = std::make_unique<RefreshHeatmap>(
                 dram.org.ranks, dram.org.banks, opts.segments,
                 (1u << opts.counterBits) - 1);
@@ -442,8 +437,7 @@ run(int argc, char **argv)
         cfg.audit = audit.get();
         cfg.ledger = ledger.get();
         ThreeDSystem sys(cfg);
-        const std::string benchName =
-            args.getString("benchmark", "mummer");
+        const std::string benchName = args.getString("benchmark");
         for (const auto &wp : threeDParams(findProfile(benchName), dram,
                                            opts.seed))
             sys.addWorkload(wp);
@@ -482,23 +476,12 @@ run(int argc, char **argv)
         // byte-identical for any -j value. A lone channel advances in
         // one slice per window, exactly like a plain System.
         const bool multi = dram.channels > 1;
-        for (const char *flag :
-             {"trace", "trace-out", "trace-csv", "stats-out",
-              "stats-json", "stats-interval-ms", "stats-interval-out",
-              "interval-cols", "ledger-check", "classes"}) {
-            if (multi && args.has(flag)) {
-                SMARTREF_FATAL("--", flag,
-                               " is not yet supported with channels"
-                               " > 1 (config '", dram.name, "')");
-            }
-        }
 
         SystemConfig cfg;
         cfg.dram = dram;
         cfg.policy = policy;
         cfg.smart = smart;
-        cfg.ctrl.scheme =
-            schemeByName(args.getString("scheme", "row-rank-bank"));
+        cfg.ctrl.scheme = schemeByName(args.getString("scheme"));
         if (args.has("classes")) {
             // RAPID-style retention classes (see DESIGN.md section 9).
             RetentionClassParams cp;
@@ -507,7 +490,7 @@ run(int argc, char **argv)
                 dram.org.totalRows(), cp);
         }
         std::unique_ptr<RefreshHeatmap> heatmap;
-        if (!args.heatmapOutPath().empty()) {
+        if (args.has("heatmap-out")) {
             // Per-channel shape: channels overlay onto one grid.
             // Retention classes widen the counters (multi-rate rows),
             // so the heatmap's value axis must widen with them.
@@ -559,7 +542,7 @@ run(int argc, char **argv)
                     label = "light-activity";
                     sys.channel(c).addWorkload(lightParams(chDram, seed));
                 } else {
-                    label = args.getString("benchmark", "mummer");
+                    label = args.getString("benchmark");
                     for (const auto &wp : conventionalParams(
                              findProfile(label), chDram, 1.0, seed))
                         sys.channel(c).addWorkload(wp);
@@ -609,13 +592,5 @@ run(int argc, char **argv)
 int
 main(int argc, char **argv)
 {
-    // A user error (bad flag value, unknown config or grid, unwritable
-    // path) exits 2 with one line; a panic (std::logic_error) is a bug
-    // and still aborts.
-    try {
-        return run(argc, argv);
-    } catch (const std::runtime_error &e) {
-        std::cerr << "error: " << e.what() << "\n";
-        return 2;
-    }
+    return runCli(kSpec, argc, argv, run);
 }

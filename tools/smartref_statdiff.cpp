@@ -9,14 +9,7 @@
  * stable subset of metrics, the tolerance file says how far each may
  * drift (ci/golden_tolerances.json).
  *
- * Usage:
- *   smartref_statdiff A B
- *                     [--tolerances FILE]  per-metric tolerance table
- *                     [--subset]           metrics only in B are OK
- *                     [--json-out FILE]    machine verdict JSON
- *                     [--cache-dir DIR]    result cache for cache refs
- *                     [--quiet]            suppress the human report
- *                     [--version]          print the provenance block
+ * Usage: smartref_statdiff A B [flags]; see --help.
  *
  * Each operand is a JSON file path, or a reference into the
  * content-addressed sweep result cache: `cache:<key-prefix>` or a bare
@@ -35,24 +28,26 @@
 #include <string>
 #include <vector>
 
+#include "harness/cli.hh"
 #include "harness/result_cache.hh"
 #include "harness/statdiff.hh"
-#include "sim/provenance.hh"
+#include "sim/logging.hh"
 
 using namespace smartref;
 
 namespace {
 
-int
-usage(const char *argv0)
-{
-    std::cerr << "usage: " << argv0
-              << " A B [--tolerances FILE] [--subset]"
-                 " [--json-out FILE] [--cache-dir DIR] [--quiet]\n"
-                 "  A/B: stats/sweep JSON path, cache:<key-prefix>, or "
-                 "a bare unique hex key prefix\n";
-    return 2;
-}
+const CliSpec kSpec = {
+    "smartref_statdiff",
+    {"A", "B"},
+    {
+        {"tolerances", "FILE", "per-metric tolerance table"},
+        {"subset", "", "metrics only in B are OK"},
+        {"json-out", "FILE", "machine verdict JSON"},
+        {"cache-dir", "DIR", "result cache for cache references",
+         ResultCache::defaultDir()},
+        {"quiet", "", "suppress the human report"},
+    }};
 
 bool
 isHexPrefix(const std::string &s)
@@ -95,73 +90,33 @@ resolveOperand(const std::string &operand, const std::string &cacheDir)
     return cache.entryPath(matches[0]);
 }
 
+int
+run(const CliArgs &args)
+{
+    DiffTolerances tolerances;
+    if (args.has("tolerances"))
+        tolerances = loadTolerances(args.getString("tolerances"));
+    const std::string cacheDir = args.getString("cache-dir");
+    const auto a = loadMetrics(resolveOperand(args.operands()[0], cacheDir));
+    const auto b = loadMetrics(resolveOperand(args.operands()[1], cacheDir));
+    const DiffResult result =
+        diffMetrics(a, b, tolerances, args.has("subset"));
+    if (!args.has("quiet"))
+        writeDiffReport(std::cout, result);
+    if (args.has("json-out")) {
+        const std::string path = args.getString("json-out");
+        std::ofstream out(path);
+        if (!out)
+            SMARTREF_FATAL("cannot write '", path, "'");
+        writeDiffJson(out, result);
+    }
+    return result.pass() ? 0 : 1;
+}
+
 } // namespace
 
 int
 main(int argc, char **argv)
 {
-    std::vector<std::string> files;
-    std::string tolerancesPath;
-    std::string jsonOutPath;
-    std::string cacheDir = ResultCache::defaultDir();
-    bool subset = false;
-    bool quiet = false;
-    for (int i = 1; i < argc; ++i) {
-        const std::string arg = argv[i];
-        if (arg == "--tolerances" || arg == "--json-out" ||
-            arg == "--cache-dir") {
-            if (i + 1 >= argc) {
-                std::cerr << arg << " needs a value\n";
-                return usage(argv[0]);
-            }
-            const std::string value = argv[++i];
-            if (arg == "--tolerances")
-                tolerancesPath = value;
-            else if (arg == "--json-out")
-                jsonOutPath = value;
-            else
-                cacheDir = value;
-        } else if (arg == "--subset") {
-            subset = true;
-        } else if (arg == "--quiet") {
-            quiet = true;
-        } else if (arg == "--version") {
-            std::cout << versionText("smartref_statdiff");
-            return 0;
-        } else if (arg == "--help" || arg == "-h") {
-            usage(argv[0]);
-            return 0;
-        } else if (!arg.empty() && arg[0] == '-') {
-            std::cerr << "unknown flag '" << arg << "'\n";
-            return usage(argv[0]);
-        } else {
-            files.push_back(arg);
-        }
-    }
-    if (files.size() != 2)
-        return usage(argv[0]);
-
-    try {
-        DiffTolerances tolerances;
-        if (!tolerancesPath.empty())
-            tolerances = loadTolerances(tolerancesPath);
-        const auto a = loadMetrics(resolveOperand(files[0], cacheDir));
-        const auto b = loadMetrics(resolveOperand(files[1], cacheDir));
-        const DiffResult result = diffMetrics(a, b, tolerances, subset);
-        if (!quiet)
-            writeDiffReport(std::cout, result);
-        if (!jsonOutPath.empty()) {
-            std::ofstream out(jsonOutPath);
-            if (!out) {
-                std::cerr << "cannot write '" << jsonOutPath << "'\n";
-                return 2;
-            }
-            writeDiffJson(out, result);
-        }
-        return result.pass() ? 0 : 1;
-    } catch (const std::exception &e) {
-        // SMARTREF_FATAL and the JSON parser both throw runtime_error.
-        std::cerr << "error: " << e.what() << "\n";
-        return 2;
-    }
+    return runCli(kSpec, argc, argv, run);
 }

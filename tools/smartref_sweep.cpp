@@ -8,7 +8,7 @@
  * in grid order. The aggregate JSON/CSV outputs are byte-identical for
  * any -j N (see docs/sweep.md for the determinism contract).
  *
- * Usage: see kUsage below (printed by --help / -h).
+ * Usage: smartref_sweep --help.
  */
 
 #include <chrono>
@@ -16,7 +16,6 @@
 #include <fstream>
 #include <iostream>
 #include <memory>
-#include <stdexcept>
 
 #include "harness/cli.hh"
 #include "harness/report.hh"
@@ -32,55 +31,41 @@ using namespace smartref;
 
 namespace {
 
-constexpr const char *kUsage = R"(usage:
-  smartref_sweep [--grid NAME | --grid-file FILE] [-j N]
-                 [--shard-jobs N]      worker threads inside each
-                                       multi-channel job (sharded
-                                       engine; execution-only)
-                 [--sparse-counters]   hierarchical sparse counter
-                                       array in every job
-                 [--out-dir DIR]       output directory (default ".")
-                 [--json FILE]         aggregate JSON path override
-                 [--csv FILE]          per-job CSV path override
-                 [--figures]           print paper-figure tables and
-                                       write one CSV per figure
-                 [--timing FILE]       wall-clock timing JSON (not
-                                       deterministic; CI artifact)
-                 [--heatmap-out FILE]  merged spatial refresh heatmap
-                                       JSON (+ .csv sibling); still
-                                       byte-identical for any -j N
-                 [--telemetry-out FILE] live NDJSON execution
-                                       telemetry (not deterministic)
-                 [--check-conservation] verify the energy-ledger
-                                       invariant inside every job
-                 [--parallelism A,B,..] override the grid's refresh
-                                       parallelism axis (none, refpb,
-                                       darp, sarp, all)
-                 [--cache-dir DIR]     content-addressed result cache:
-                                       only cache misses are simulated,
-                                       aggregates stay byte-identical
-                 [--incremental]       shorthand: cache at the default
-                                       directory (SMARTREF_CACHE_DIR /
-                                       XDG_CACHE_HOME/smartref /
-                                       ~/.cache/smartref)
-                 [--cache-verify]      recompute every hit and fail
-                                       unless the stored result is
-                                       bit-identical
-                 [--cache-max-mb N]    LRU-prune the cache to N MB
-                                       after the sweep
-                 [--metrics-out FILE]  metrics-registry snapshot
-                                       JSON (not deterministic)
-                 [--seed S] [--seed-mode derived|fixed]
-                 [--warmup-ms N] [--measure-ms N] [--segments N]
-                 [--no-auto] [--progress]
-                 [--log-level silent|warn|info|debug]
-                 [--list-grids]        list predefined grids and exit
-                 [--version]           print the provenance build block
-                 [--help | -h]         print this usage and exit
-
-Predefined grids (--grid): smoke, 2gb, 4gb, 3d64, 3d64-32ms, 3d32,
-figures, bits, policies, policy-grid, server.
-)";
+const CliSpec kSpec = {
+    "smartref_sweep",
+    {},
+    {
+        {"grid", "NAME", "predefined grid, see --list-grids", "smoke"},
+        {"grid-file", "FILE", "JSON grid description instead of --grid"},
+        {"j", "", "worker threads; a bare -j: one per hardware thread"},
+        {"shard-jobs", "N", "workers inside each multi-channel job", "1"},
+        {"sparse-counters"},
+        {"out-dir", "DIR", "output directory", "."},
+        {"json", "FILE", "aggregate JSON (default DIR/GRID_sweep.json)"},
+        {"csv", "FILE", "per-job CSV (default DIR/GRID_sweep.csv)"},
+        {"figures", "", "paper-figure tables, and one CSV per figure"},
+        {"timing", "FILE", "wall-clock timing JSON (not deterministic)"},
+        {"heatmap-out", "FILE", "merged refresh heatmap JSON (+ .csv)"},
+        {"telemetry-out", "FILE", "live NDJSON telemetry (not deterministic)"},
+        {"check-conservation", "", "verify the ledger invariant in every job"},
+        {"parallelism", "A,B,..", "override the grid's parallelism axis"},
+        {"cache-dir", "DIR", "result cache: simulate only the misses",
+         ResultCache::defaultDir()},
+        {"incremental", "", "cache at the default --cache-dir"},
+        {"cache-verify", "", "recompute every hit; fail unless bit-identical"},
+        {"cache-max-mb", "N", "LRU-prune the cache to N MB after the sweep"},
+        {"metrics-out", "FILE", "metrics snapshot JSON (not deterministic)"},
+        {"seed", "", "base seed"},
+        {"seed-mode", "MODE", "derived|fixed", "derived"},
+        {"warmup-ms"},
+        {"measure-ms"},
+        {"segments"},
+        {"no-auto"},
+        {"progress", "", "one stderr line per finished job"},
+        {"log-level"},
+        {"verbose", "", "--log-level debug and --progress"},
+        {"list-grids", "", "list predefined grids and exit"},
+    }};
 
 void
 listGrids()
@@ -94,60 +79,22 @@ listGrids()
     table.print(std::cout);
 }
 
-std::vector<std::string>
-splitCommas(const std::string &csv)
-{
-    std::vector<std::string> out;
-    std::string cur;
-    for (char c : csv) {
-        if (c == ',') {
-            if (!cur.empty())
-                out.push_back(cur);
-            cur.clear();
-        } else {
-            cur += c;
-        }
-    }
-    if (!cur.empty())
-        out.push_back(cur);
-    return out;
-}
-
-SweepGrid
-resolveGrid(const CliArgs &args)
-{
-    SweepGrid grid;
-    if (args.has("grid-file")) {
-        grid = loadSweepGrid(args.getString("grid-file"));
-    } else {
-        grid = predefinedGridByName(args.getString("grid", "smoke"));
-    }
-    if (args.has("parallelism")) {
-        grid.parallelism = splitCommas(args.getString("parallelism"));
-        if (grid.parallelism.empty())
-            SMARTREF_FATAL("--parallelism needs at least one mode");
-    }
-    return grid;
-}
-
 int
-run(int argc, char **argv)
+run(const CliArgs &args)
 {
-    if (helpRequested(argc, argv)) {
-        std::cout << kUsage;
-        return 0;
-    }
-    CliArgs args(argc, argv);
-    if (args.has("version")) {
-        std::cout << versionText("smartref_sweep");
-        return 0;
-    }
     if (args.has("list-grids")) {
         listGrids();
         return 0;
     }
 
-    const SweepGrid grid = resolveGrid(args);
+    SweepGrid grid = args.has("grid-file")
+                         ? loadSweepGrid(args.getString("grid-file"))
+                         : predefinedGridByName(args.getString("grid"));
+    if (args.has("parallelism")) {
+        grid.parallelism = splitList(args.getString("parallelism"));
+        if (grid.parallelism.empty())
+            SMARTREF_FATAL("--parallelism needs at least one mode");
+    }
     const ExperimentOptions eo = args.experimentOptions();
     setLogLevel(eo.logLevel);
 
@@ -161,9 +108,9 @@ run(int argc, char **argv)
     opts.logLevel = eo.logLevel;
     opts.progress = args.has("progress") || eo.verbose;
     opts.checkConservation = args.has("check-conservation");
-    opts.shardJobs = static_cast<unsigned>(args.getU64("shard-jobs", 1));
-    opts.sparseCounters = args.has("sparse-counters");
-    const std::string seedMode = args.getString("seed-mode", "derived");
+    opts.shardJobs = static_cast<unsigned>(args.getU64("shard-jobs"));
+    opts.sparseCounters = eo.sparseCounters;
+    const std::string seedMode = args.getString("seed-mode");
     if (seedMode == "fixed")
         opts.seedMode = SeedMode::Fixed;
     else if (seedMode != "derived")
@@ -175,8 +122,7 @@ run(int argc, char **argv)
     std::unique_ptr<ResultCache> cache;
     if (args.has("cache-dir") || args.has("incremental") ||
         args.has("cache-verify")) {
-        cache = std::make_unique<ResultCache>(
-            args.getString("cache-dir", ResultCache::defaultDir()));
+        cache = std::make_unique<ResultCache>(args.getString("cache-dir"));
         opts.cache = cache.get();
         opts.cacheVerify = args.has("cache-verify");
     } else if (args.has("cache-max-mb")) {
@@ -184,21 +130,23 @@ run(int argc, char **argv)
                        "--incremental");
     }
 
-    const std::string outDir = args.getString("out-dir", ".");
+    const std::string outDir = args.getString("out-dir");
     std::filesystem::create_directories(outDir);
     const std::string jsonPath =
-        args.getString("json", outDir + "/" + grid.name + "_sweep.json");
+        args.has("json") ? args.getString("json")
+                         : outDir + "/" + grid.name + "_sweep.json";
     const std::string csvPath =
-        args.getString("csv", outDir + "/" + grid.name + "_sweep.csv");
-    const std::string heatmapPath = args.heatmapOutPath();
+        args.has("csv") ? args.getString("csv")
+                        : outDir + "/" + grid.name + "_sweep.csv";
+    const std::string heatmapPath = args.getString("heatmap-out");
     opts.collectHeatmaps = !heatmapPath.empty();
 
     std::unique_ptr<SweepTelemetry> telemetry;
     const std::size_t jobCount =
         expandGrid(grid, opts.baseSeed, opts.seedMode).size();
     if (args.has("telemetry-out")) {
-        telemetry =
-            std::make_unique<SweepTelemetry>(args.telemetryOutPath());
+        telemetry = std::make_unique<SweepTelemetry>(
+            args.getString("telemetry-out"));
         RunMeta meta;
         meta.schema = "smartref-sweep-telemetry-v1";
         meta.configHash = sweepConfigHash(grid, opts);
@@ -250,8 +198,7 @@ run(int argc, char **argv)
 
     if (cache) {
         if (args.has("cache-max-mb"))
-            cache->pruneToBytes(args.getU64("cache-max-mb", 0) * 1024 *
-                                1024);
+            cache->pruneToBytes(args.getU64("cache-max-mb") * 1024 * 1024);
         const ResultCacheStats cs = cache->stats();
         std::cerr << "cache '" << cache->dir() << "': " << cs.hits
                   << " hit(s), " << cs.misses << " miss(es)";
@@ -301,13 +248,5 @@ run(int argc, char **argv)
 int
 main(int argc, char **argv)
 {
-    // A user error (bad flag value, unknown config or grid, unwritable
-    // path) exits 2 with one line; a panic (std::logic_error) is a bug
-    // and still aborts.
-    try {
-        return run(argc, argv);
-    } catch (const std::runtime_error &e) {
-        std::cerr << "error: " << e.what() << "\n";
-        return 2;
-    }
+    return runCli(kSpec, argc, argv, run);
 }
