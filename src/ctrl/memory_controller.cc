@@ -396,14 +396,6 @@ void
 MemoryController::issuePending(std::size_t engineIdx)
 {
     const DramCommand cmd = engines_[engineIdx].cmd;
-    const Tick earliest = dram_.earliestIssue(cmd);
-    if (earliest > eq_.now()) {
-        // Constraints may move while we wait; re-check then.
-        eq_.schedule(earliest,
-                     [this, engineIdx] { issuePending(engineIdx); },
-                     EventPriority::Default, EventKind::IssueRetry);
-        return;
-    }
     // Observe the bank's row state immediately before the device
     // accepts the command: refreshes (and precharges) implicitly close
     // the open page, and the next step may need to know which row was
@@ -411,8 +403,15 @@ MemoryController::issuePending(std::size_t engineIdx)
     const bool rowWasOpen = dram_.isBankOpen(cmd.rank, cmd.bank);
     const std::uint32_t openRow =
         rowWasOpen ? dram_.openRow(cmd.rank, cmd.bank) : 0;
-    const Tick done = dram_.issue(cmd);
-    onIssued(engineIdx, done, rowWasOpen, openRow);
+    const DramModule::IssueAttempt attempt = dram_.tryIssue(cmd);
+    if (!attempt.issued) {
+        // Constraints may move while we wait; re-check then.
+        eq_.schedule(attempt.tick,
+                     [this, engineIdx] { issuePending(engineIdx); },
+                     EventPriority::Default, EventKind::IssueRetry);
+        return;
+    }
+    onIssued(engineIdx, attempt.tick, rowWasOpen, openRow);
 }
 
 void

@@ -1,7 +1,7 @@
 #include "ctrl/refresh_audit.hh"
 
 #include <cstring>
-#include <fstream>
+#include <ostream>
 
 #include "sim/logging.hh"
 
@@ -99,12 +99,8 @@ RefreshAudit::collect() const
 }
 
 void
-RefreshAudit::writeBinary(const std::string &path) const
+RefreshAudit::writeBinary(std::ostream &out) const
 {
-    std::ofstream out(path, std::ios::binary);
-    if (!out)
-        SMARTREF_FATAL("cannot write audit file '", path, "'");
-
     AuditFileHeader header{};
     std::memcpy(header.magic, kAuditMagic, sizeof(header.magic));
     header.version = kAuditVersion;
@@ -119,16 +115,11 @@ RefreshAudit::writeBinary(const std::string &path) const
                   static_cast<std::streamsize>(slab->used *
                                                sizeof(AuditRecord)));
     }
-    if (!out)
-        SMARTREF_FATAL("short write to audit file '", path, "'");
 }
 
 void
-RefreshAudit::writeNdjson(const std::string &path) const
+RefreshAudit::writeNdjson(std::ostream &out) const
 {
-    std::ofstream out(path);
-    if (!out)
-        SMARTREF_FATAL("cannot write audit NDJSON '", path, "'");
     const bool multi = channels_ > 1;
     forEach([&out, multi](const AuditRecord &r) {
         out << "{\"t\":" << r.tick;

@@ -53,6 +53,7 @@
 
 #include <array>
 #include <cstdint>
+#include <iosfwd>
 #include <memory>
 #include <string>
 #include <type_traits>
@@ -214,10 +215,10 @@ class RefreshAudit
     std::vector<AuditRecord> collect() const;
 
     /** Drain to the binary format described above. */
-    void writeBinary(const std::string &path) const;
+    void writeBinary(std::ostream &out) const;
 
     /** Drain to NDJSON, one record object per line. */
-    void writeNdjson(const std::string &path) const;
+    void writeNdjson(std::ostream &out) const;
 
   private:
     struct Slab

@@ -88,9 +88,8 @@ DramModule::earliestRefresh(const Rank &rank, std::uint32_t bankIdx,
 }
 
 Tick
-DramModule::earliestIssue(const DramCommand &cmd) const
+DramModule::earliestLegal(const DramCommand &cmd) const
 {
-    checkBank(cmd);
     const Rank &rank = ranks_[cmd.rank];
     const Bank &bank = rank.bank(cmd.bank);
 
@@ -140,18 +139,32 @@ DramModule::earliestIssue(const DramCommand &cmd) const
     SMARTREF_PANIC("unknown command type");
 }
 
-Tick
-DramModule::issue(const DramCommand &cmd)
+DramModule::IssueAttempt
+DramModule::tryIssue(const DramCommand &cmd)
 {
     // Every command type, precharge included, is range-checked before
     // anything is indexed by it.
     checkAddress(cmd);
+    const Tick earliest = earliestLegal(cmd);
+    if (earliest > eq_.now())
+        return {false, earliest};
+    return {true, execute(cmd)};
+}
+
+Tick
+DramModule::issue(const DramCommand &cmd)
+{
+    const IssueAttempt attempt = tryIssue(cmd);
+    SMARTREF_ASSERT(attempt.issued, toString(cmd.type), " issued at ",
+                    eq_.now(), " before earliest ", attempt.tick);
+    return attempt.tick;
+}
+
+Tick
+DramModule::execute(const DramCommand &cmd)
+{
     const Tick now = eq_.now();
     Rank &rank = ranks_[cmd.rank];
-    const Tick earliest = earliestIssue(cmd);
-    SMARTREF_ASSERT(now >= earliest, toString(cmd.type),
-                    " issued at ", now, " before earliest ", earliest);
-
     integrateBackground(rank, now);
 
     switch (cmd.type) {

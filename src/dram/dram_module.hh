@@ -3,10 +3,11 @@
  * The DRAM module (device) model: command legality, timing enforcement,
  * energy accounting and retention tracking for one DDR2-style module.
  *
- * The module is the timing *oracle*: the controller asks
- * earliestIssue(cmd) and only calls issue() at or after that tick. issue()
- * asserts legality, so scheduling bugs in a controller surface as panics
- * rather than silently wrong results.
+ * The module is the timing *oracle*: the controller calls tryIssue(cmd),
+ * which evaluates the command's timing once and either applies it or
+ * returns the tick at which to try again. issue() asserts legality, so
+ * scheduling bugs in a caller surface as panics rather than silently
+ * wrong results.
  */
 
 #pragma once
@@ -42,12 +43,34 @@ class DramModule : public StatGroup
     const DramConfig &config() const { return cfg_; }
 
     /** Earliest tick at which `cmd` may legally issue. */
-    Tick earliestIssue(const DramCommand &cmd) const;
+    Tick
+    earliestIssue(const DramCommand &cmd) const
+    {
+        checkBank(cmd);
+        return earliestLegal(cmd);
+    }
+
+    /** What tryIssue() did. */
+    struct IssueAttempt
+    {
+        bool issued;
+        /** The completion tick if issued, else the earliest legal tick. */
+        Tick tick;
+    };
 
     /**
-     * Issue a command at the current tick.
-     * @return the completion tick (data available for reads; operation
-     *         fully done for activate/precharge/refresh)
+     * Issue a command at the current tick if its timing allows it now.
+     * The command is range-checked and its timing evaluated once; a
+     * command that is not yet legal changes nothing.
+     * @return issued with the completion tick (data available for
+     *         reads; operation fully done for activate/precharge/
+     *         refresh), or not issued with earliestIssue()'s tick
+     */
+    IssueAttempt tryIssue(const DramCommand &cmd);
+
+    /**
+     * Issue a command that must be legal at the current tick (a panic
+     * otherwise). @return the completion tick, as tryIssue()
      */
     Tick issue(const DramCommand &cmd);
 
@@ -168,6 +191,10 @@ class DramModule : public StatGroup
     void checkBank(const DramCommand &cmd) const;
     /** checkBank() plus the row and column. */
     void checkAddress(const DramCommand &cmd) const;
+    /** earliestIssue() of a command whose rank and bank exist. */
+    Tick earliestLegal(const DramCommand &cmd) const;
+    /** Apply a legal command at the current tick; @return completion. */
+    Tick execute(const DramCommand &cmd);
     void integrateBackground(Rank &rank, Tick upTo);
     Tick issueRefresh(std::uint32_t rankIdx, std::uint32_t bankIdx,
                       std::uint32_t row, bool ras);

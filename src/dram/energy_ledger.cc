@@ -2,7 +2,6 @@
 
 #include <cmath>
 #include <cstring>
-#include <fstream>
 #include <limits>
 #include <ostream>
 #include <sstream>
@@ -382,21 +381,8 @@ EnergyLedger::writeJson(std::ostream &os,
 }
 
 void
-EnergyLedger::writeJson(const std::string &path,
-                        const std::string &metaJson) const
+EnergyLedger::writeCsv(std::ostream &out) const
 {
-    std::ofstream out(path);
-    if (!out)
-        SMARTREF_FATAL("cannot write ledger JSON '", path, "'");
-    writeJson(out, metaJson);
-}
-
-void
-EnergyLedger::writeCsv(const std::string &path) const
-{
-    std::ofstream out(path);
-    if (!out)
-        SMARTREF_FATAL("cannot write ledger CSV '", path, "'");
     out.precision(std::numeric_limits<double>::max_digits10);
     out << "interval,t0_ms,rank,bank,acts,reads,writes,"
            "refreshes_closed,refreshes_open,act_j,read_j,write_j,"
@@ -430,13 +416,9 @@ EnergyLedger::writeCsv(const std::string &path) const
 
 void
 EnergyLedger::writeConservationCheckJson(
-    const std::string &path, const std::string &powerPrefix,
+    std::ostream &out, const std::string &powerPrefix,
     const std::string &metaJson) const
 {
-    std::ofstream out(path);
-    if (!out)
-        SMARTREF_FATAL("cannot write conservation check JSON '", path,
-                       "'");
     out.precision(std::numeric_limits<double>::max_digits10);
     out << "{\"schema\":\"smartref-ledger-check-v1\"";
     if (!metaJson.empty())

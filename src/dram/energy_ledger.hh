@@ -167,18 +167,16 @@ class EnergyLedger
     /** @name Export. */
     ///@{
     void writeJson(std::ostream &os, const std::string &metaJson) const;
-    void writeJson(const std::string &path,
-                   const std::string &metaJson) const;
 
     /** Per-cell per-interval grid, one row per non-empty cell. */
-    void writeCsv(const std::string &path) const;
+    void writeCsv(std::ostream &os) const;
 
     /**
      * Shadow totals in the stats-JSON shape keyed by
      * `<powerPrefix>.<stat>` (e.g. "system.dram.2gb.power.actEnergy"),
      * for the `smartref_statdiff --subset` conservation gate.
      */
-    void writeConservationCheckJson(const std::string &path,
+    void writeConservationCheckJson(std::ostream &os,
                                     const std::string &powerPrefix,
                                     const std::string &metaJson) const;
     ///@}

@@ -1,5 +1,6 @@
 #include "dram/retention_tracker.hh"
 
+#include <algorithm>
 #include <bit>
 
 #include "sim/logging.hh"
@@ -23,6 +24,18 @@ RetentionTracker::RetentionTracker(std::uint32_t ranks, std::uint32_t banks,
     SMARTREF_ASSERT(retention_ > 0, "zero retention limit");
     SMARTREF_ASSERT(std::has_single_bit(ranks) && std::has_single_bit(banks),
                     "ranks and banks must be powers of two");
+    checkLimitFits(retention_);
+}
+
+void
+RetentionTracker::checkLimitFits(Tick limit) const
+{
+    constexpr Tick kStep = Tick(kRebaseUnits) << kUnitShift;
+    if (limit >= kStep || slack_ >= kStep - limit) {
+        SMARTREF_FATAL("retention limit ", limit, " + slack ", slack_,
+                       " ticks reaches the stamp rebase step of ", kStep,
+                       " ticks");
+    }
 }
 
 void
@@ -32,6 +45,10 @@ RetentionTracker::applyClassMultipliers(
     SMARTREF_ASSERT(m.size() == lastRestore_.size(),
                     "class map covers ", m.size(), " rows, module has ",
                     lastRestore_.size());
+    std::uint8_t maxMultiplier = 0;
+    for (std::uint8_t x : m)
+        maxMultiplier = std::max(maxMultiplier, x);
+    checkLimitFits(retention_ * maxMultiplier);
     multipliers_.resize(m.size());
     const std::uint32_t banks = 1u << bankShift_;
     const std::uint32_t ranks = 1u << (rowShift_ - bankShift_);
@@ -45,7 +62,7 @@ RetentionTracker::applyClassMultipliers(
 void
 RetentionTracker::check(std::uint64_t idx, Tick now, bool isRefresh)
 {
-    const Tick age = now - lastRestore_[idx];
+    const Tick age = now - restoredAt(idx);
     ++checksPerformed_;
     if (age > maxAge_)
         maxAge_ = age;
@@ -71,7 +88,7 @@ void
 RetentionTracker::onRestore(std::uint32_t rank, std::uint32_t bank,
                             std::uint32_t row, Tick now)
 {
-    lastRestore_[index(rank, bank, row)] = now;
+    stamp(index(rank, bank, row), now);
 }
 
 void
@@ -80,7 +97,24 @@ RetentionTracker::onRefresh(std::uint32_t rank, std::uint32_t bank,
 {
     const std::uint64_t idx = index(rank, bank, row);
     check(idx, now, true);
-    lastRestore_[idx] = now;
+    stamp(idx, now);
+}
+
+std::uint64_t
+RetentionTracker::rebase(Tick t)
+{
+    SMARTREF_ASSERT(t >= base_, "restore at ", t, " before stamp base ",
+                    base_);
+    const std::uint64_t units = (t - base_) >> kUnitShift;
+    // Fewest whole steps that bring `units` below 2^32; afterwards it
+    // is at least 2^31, so a saturated row reads at least that old.
+    const std::uint64_t shift =
+        (units - UINT32_MAX + kRebaseUnits - 1) / kRebaseUnits *
+        kRebaseUnits;
+    base_ += shift << kUnitShift;
+    for (std::uint32_t &s : lastRestore_)
+        s = s > shift ? static_cast<std::uint32_t>(s - shift) : 0;
+    return units - shift;
 }
 
 std::uint64_t
@@ -91,7 +125,7 @@ RetentionTracker::finalCheck(Tick now)
         // Restores are recorded at operation *completion* ticks, which
         // may land just past the simulation horizon; those rows are
         // fresh by construction.
-        const Tick t = lastRestore_[idx];
+        const Tick t = restoredAt(idx);
         const Tick age = t >= now ? 0 : now - t;
         if (age > maxAge_)
             maxAge_ = age;

@@ -20,6 +20,16 @@
  * + bank, so the refresh walks — CBR's banks-first counter and the
  * staggered Smart walk, which emits one row per bank in turn — touch
  * adjacent entries instead of one cache line per bank.
+ *
+ * Each row's last restore is a 32-bit stamp: whole 1.024 ns units
+ * (1024 ticks) since a tracker base, rounded down. A reported age is
+ * therefore never below the exact age and exceeds it by less than one
+ * unit. A restore whose stamp would not fit moves the base forward in
+ * steps of 2^31 units (about 2.2 s) and subtracts that from every
+ * stamp, saturating at 0, so a row left unrestored that long still
+ * reads at least 2^31 units old. Every limit plus slack must stay
+ * below 2^31 units (checked fatally), so the rounding and the
+ * saturation move no violation count, whatever the run length.
  */
 
 #pragma once
@@ -85,6 +95,13 @@ class RetentionTracker : public StatGroup
     /** Number of retention violations observed (must stay 0). */
     std::uint64_t violations() const;
 
+    /**
+     * @name Age statistics (read by tests only).
+     * Ages come from the rounded stamps: each may read up to 1023
+     * ticks older than exact, and a row unrestored for longer than
+     * 2^31 units reads no less than 2^31 units old.
+     */
+    ///@{
     /** Largest charge age ever observed at a check (ticks). */
     Tick maxObservedAge() const { return maxAge_; }
 
@@ -99,10 +116,16 @@ class RetentionTracker : public StatGroup
      * The paper's analytic bound is 1 - 1/2^bits for the worst case.
      */
     double measuredOptimality() const;
+    ///@}
 
     Tick retentionLimit() const { return retention_; }
 
   private:
+    /** log2 of the stamp unit in ticks (1024 ps = 1.024 ns). */
+    static constexpr unsigned kUnitShift = 10;
+    /** One rebase step in stamp units (2^31, about 2.2 s). */
+    static constexpr std::uint64_t kRebaseUnits = std::uint64_t(1) << 31;
+
     /** Bank-interleaved entry of a row (ranks, banks powers of two). */
     std::uint64_t
     index(std::uint32_t rank, std::uint32_t bank, std::uint32_t row) const
@@ -112,6 +135,32 @@ class RetentionTracker : public StatGroup
     }
 
     void check(std::uint64_t idx, Tick now, bool isRefresh);
+
+    /** Record a restore of entry `idx` at `t`, rounded down. */
+    void
+    stamp(std::uint64_t idx, Tick t)
+    {
+        std::uint64_t units = (t - base_) >> kUnitShift;
+        if (units > UINT32_MAX) [[unlikely]]
+            units = rebase(t);
+        lastRestore_[idx] = static_cast<std::uint32_t>(units);
+    }
+
+    /**
+     * Move the base forward by whole rebase steps until a stamp at `t`
+     * fits, saturating older stamps at 0. @return the stamp for `t`.
+     */
+    std::uint64_t rebase(Tick t);
+
+    /** The (rounded-down) tick of entry `idx`'s last restore. */
+    Tick
+    restoredAt(std::uint64_t idx) const
+    {
+        return base_ + (Tick(lastRestore_[idx]) << kUnitShift);
+    }
+
+    /** Fatal unless `limit` plus the slack is below one rebase step. */
+    void checkLimitFits(Tick limit) const;
 
     Tick
     limitOf(std::uint64_t idx) const
@@ -126,7 +175,8 @@ class RetentionTracker : public StatGroup
     std::uint32_t rowShift_;  ///< log2(ranks * banks)
     Tick retention_;
     Tick slack_;
-    std::vector<Tick> lastRestore_;
+    Tick base_ = 0; ///< tick of stamp 0; a multiple of the unit
+    std::vector<std::uint32_t> lastRestore_; ///< stamps, units past base_
     std::vector<std::uint8_t> multipliers_; ///< empty = uniform 1x
 
     Tick maxAge_ = 0;

@@ -8,6 +8,7 @@
 #include <iostream>
 #include <sstream>
 #include <stdexcept>
+#include <utility>
 
 #include "sim/logging.hh"
 #include "sim/provenance.hh"
@@ -215,6 +216,22 @@ CliArgs::usage() const
            << "\n";
     }
     return os.str();
+}
+
+OutputFile::OutputFile(std::string path, std::string what)
+    : path_(std::move(path)), what_(std::move(what)),
+      out_(path_, std::ios::binary)
+{
+    if (!out_)
+        SMARTREF_FATAL("cannot write ", what_, " '", path_, "'");
+}
+
+void
+OutputFile::close()
+{
+    out_.close();
+    if (!out_)
+        SMARTREF_FATAL("short write to ", what_, " '", path_, "'");
 }
 
 int

@@ -7,6 +7,7 @@
 #pragma once
 
 #include <cstdint>
+#include <fstream>
 #include <map>
 #include <string>
 #include <vector>
@@ -91,6 +92,30 @@ class CliArgs
     CliSpec spec_;
     std::map<std::string, std::string> values_;
     std::vector<std::string> operands_;
+};
+
+/**
+ * A file an output flag names, opened (and truncated) before the tool
+ * simulates anything, so that an unwritable path fails at once instead
+ * of after the run. Bytes are written as given (binary mode).
+ */
+class OutputFile
+{
+  public:
+    /** Fatal "cannot write WHAT 'PATH'" unless the file opens. */
+    OutputFile(std::string path, std::string what);
+
+    std::ostream &stream() { return out_; }
+    const std::string &path() const { return path_; }
+
+    /** Flush and close; fatal "short write to WHAT 'PATH'" if a write
+     *  failed. */
+    void close();
+
+  private:
+    std::string path_;
+    std::string what_;
+    std::ofstream out_;
 };
 
 /**

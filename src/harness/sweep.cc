@@ -668,17 +668,6 @@ writeSweepHeatmapJson(const SweepGrid &grid, const SweepRunOptions &opts,
 }
 
 void
-writeSweepHeatmapJson(const SweepGrid &grid, const SweepRunOptions &opts,
-                      const std::vector<SweepJobResult> &results,
-                      const std::string &path)
-{
-    std::ofstream out(path);
-    if (!out)
-        SMARTREF_FATAL("cannot write heatmap JSON '", path, "'");
-    writeSweepHeatmapJson(grid, opts, results, out);
-}
-
-void
 writeSweepHeatmapCsv(const std::vector<SweepJobResult> &results,
                      std::ostream &os)
 {
@@ -699,16 +688,6 @@ writeSweepHeatmapCsv(const std::vector<SweepJobResult> &results,
         while (std::getline(lines, line))
             os << prefix << line << '\n';
     }
-}
-
-void
-writeSweepHeatmapCsv(const std::vector<SweepJobResult> &results,
-                     const std::string &path)
-{
-    std::ofstream out(path);
-    if (!out)
-        SMARTREF_FATAL("cannot write heatmap CSV '", path, "'");
-    writeSweepHeatmapCsv(results, out);
 }
 
 std::vector<FigureSpec>

@@ -196,16 +196,10 @@ void writeSweepHeatmapJson(const SweepGrid &grid,
                            const SweepRunOptions &opts,
                            const std::vector<SweepJobResult> &results,
                            std::ostream &os);
-void writeSweepHeatmapJson(const SweepGrid &grid,
-                           const SweepRunOptions &opts,
-                           const std::vector<SweepJobResult> &results,
-                           const std::string &path);
 
 /** Long-form CSV of the same merged heatmaps (one row per counter). */
 void writeSweepHeatmapCsv(const std::vector<SweepJobResult> &results,
                           std::ostream &os);
-void writeSweepHeatmapCsv(const std::vector<SweepJobResult> &results,
-                          const std::string &path);
 
 /** Total retention violations across all runs (0 on a correct sweep). */
 std::uint64_t totalViolations(const std::vector<SweepJobResult> &results);

@@ -1,6 +1,5 @@
 #include "sim/interval_stats.hh"
 
-#include <fstream>
 #include <limits>
 #include <ostream>
 
@@ -113,15 +112,6 @@ IntervalStats::writeCsv(std::ostream &os) const
             os << ',' << v;
         os << '\n';
     }
-}
-
-void
-IntervalStats::writeCsv(const std::string &path) const
-{
-    std::ofstream out(path);
-    if (!out)
-        SMARTREF_FATAL("cannot write interval CSV '", path, "'");
-    writeCsv(out);
 }
 
 } // namespace smartref

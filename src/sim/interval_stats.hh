@@ -78,9 +78,6 @@ class IntervalStats
     /** Write "begin_ms,end_ms,<column>..." rows. */
     void writeCsv(std::ostream &os) const;
 
-    /** Write the CSV to a file (fatal on I/O error). */
-    void writeCsv(const std::string &path) const;
-
   private:
     struct Column
     {

@@ -1,7 +1,6 @@
 #include "sim/stats_json.hh"
 
 #include <cmath>
-#include <fstream>
 #include <limits>
 #include <ostream>
 
@@ -132,16 +131,6 @@ writeStatsJson(const StatGroup &root, std::ostream &os,
         root.statName().empty() ? "" : root.statName() + ".";
     walk(os, root, root, prefix, first);
     os << "\n  }\n}\n";
-}
-
-void
-writeStatsJson(const StatGroup &root, const std::string &path,
-               const std::string &metaJson)
-{
-    std::ofstream out(path);
-    if (!out)
-        SMARTREF_FATAL("cannot write stats JSON '", path, "'");
-    writeStatsJson(root, out, metaJson);
 }
 
 } // namespace smartref

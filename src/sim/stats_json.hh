@@ -35,8 +35,4 @@ double statValue(const StatBase &stat);
 void writeStatsJson(const StatGroup &root, std::ostream &os,
                     const std::string &metaJson = "");
 
-/** Serialise `root`'s subtree as JSON to a file (fatal on I/O error). */
-void writeStatsJson(const StatGroup &root, const std::string &path,
-                    const std::string &metaJson = "");
-
 } // namespace smartref

@@ -148,6 +148,39 @@ TEST_F(DramModuleTest, OutOfRangeAddressPanics)
                  std::logic_error);
 }
 
+TEST_F(DramModuleTest, TooEarlyTryIssueChangesNothing)
+{
+    issueAt({DramCommandType::Activate, 0, 0, 10, 0});
+    // A refresh into the open bank must wait for tRAS.
+    const DramCommand ref{DramCommandType::RefreshRasOnly, 0, 0, 3, 0};
+    const Tick earliest = dram.earliestIssue(ref);
+    ASSERT_GT(earliest, eq.now());
+    const auto checks = [this] {
+        return dynamic_cast<const Scalar &>(
+                   *dram.retention().findStat("checks"))
+            .value();
+    };
+    const double energy = dram.power().totalEnergy();
+    const double checksBefore = checks();
+
+    const DramModule::IssueAttempt attempt = dram.tryIssue(ref);
+    EXPECT_FALSE(attempt.issued);
+    EXPECT_EQ(attempt.tick, earliest);
+    EXPECT_EQ(dram.openRow(0, 0), 10u);
+    EXPECT_EQ(dram.activates(), 1u);
+    EXPECT_EQ(dram.totalRefreshes(), 0u);
+    EXPECT_EQ(dram.refreshesToBank(0, 0), 0u);
+    EXPECT_EQ(dram.power().totalEnergy(), energy);
+    EXPECT_EQ(checks(), checksBefore);
+
+    // Row 3 keeps its initial stamp: activated past its deadline, it
+    // is a violation, which a refresh stamped above would have hidden.
+    issueAt({DramCommandType::Precharge, 0, 0, 0, 0});
+    eq.runUntil(dram.retention().rowLimit(0, 0, 3) + kMillisecond);
+    issueAt({DramCommandType::Activate, 0, 0, 3, 0});
+    EXPECT_EQ(dram.retention().violations(), 1u);
+}
+
 TEST_F(DramModuleTest, RetentionTracksRefreshes)
 {
     issueAt({DramCommandType::RefreshRasOnly, 0, 0, 3, 0});

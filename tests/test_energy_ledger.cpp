@@ -11,6 +11,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <fstream>
 #include <sstream>
 #include <stdexcept>
 
@@ -188,9 +189,12 @@ TEST(EnergyLedger, ConservationCheckJsonGatesAgainstStatsJsonSubset)
 
     const std::string statsPath = testing::TempDir() + "ledger_stats.json";
     const std::string checkPath = testing::TempDir() + "ledger_check.json";
-    writeStatsJson(sys, statsPath);
-    ledger.writeConservationCheckJson(
-        checkPath, sys.dram().power().fullStatName(), "");
+    {
+        std::ofstream stats(statsPath), check(checkPath);
+        writeStatsJson(sys, stats);
+        ledger.writeConservationCheckJson(
+            check, sys.dram().power().fullStatName(), "");
+    }
 
     // The CI gate: every shadow total in the check file must equal the
     // power stat it names, with the stats file free to carry more.

@@ -9,7 +9,6 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
-#include <fstream>
 #include <memory>
 #include <sstream>
 
@@ -25,12 +24,6 @@ RefreshAudit::Shape
 smallShape()
 {
     return {2, 4, 64};
-}
-
-std::string
-tempPath(const std::string &name)
-{
-    return testing::TempDir() + name;
 }
 
 } // namespace
@@ -102,11 +95,9 @@ TEST(RefreshAudit, BinaryRoundTripPreservesHeaderAndRecords)
                  AuditSource::Controller);
     audit.record(43, 0, 3, 7, AuditOutcome::SkippedRecentAccess,
                  AuditSource::RetentionAware);
-    const std::string path = tempPath("audit_roundtrip.bin");
-    audit.writeBinary(path);
+    std::stringstream in;
+    audit.writeBinary(in);
 
-    std::ifstream in(path, std::ios::binary);
-    ASSERT_TRUE(in);
     AuditFileHeader header{};
     in.read(reinterpret_cast<char *>(&header), sizeof(header));
     EXPECT_EQ(std::memcmp(header.magic, kAuditMagic, sizeof(kAuditMagic)),
@@ -136,11 +127,9 @@ TEST(RefreshAudit, NdjsonLinesParseIndividually)
                  AuditSource::SmartSchedule);
     audit.record(200, 1, 0, 6, AuditOutcome::Issued,
                  AuditSource::Controller);
-    const std::string path = tempPath("audit_roundtrip.ndjson");
-    audit.writeNdjson(path);
+    std::stringstream in;
+    audit.writeNdjson(in);
 
-    std::ifstream in(path);
-    ASSERT_TRUE(in);
     std::string line;
     std::size_t lines = 0;
     while (std::getline(in, line)) {

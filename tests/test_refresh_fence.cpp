@@ -14,7 +14,6 @@
 
 #include <gtest/gtest.h>
 
-#include <fstream>
 #include <sstream>
 #include <string>
 
@@ -100,13 +99,8 @@ runFence(const FenceCase &fc, unsigned jobs)
     for (std::size_t k = 0; k < kEventKinds; ++k)
         out.published[k] = after[k] - before[k];
 
-    const std::string path = ::testing::TempDir() + "/fence_" +
-                             fc.preset + "_j" + std::to_string(jobs) +
-                             ".bin";
-    audit.writeBinary(path);
-    std::ifstream in(path, std::ios::binary);
     std::ostringstream bin;
-    bin << in.rdbuf();
+    audit.writeBinary(bin);
     out.auditDigest = fnv1a64(bin.str());
     std::ostringstream hm;
     heatmap.writeJson(hm);

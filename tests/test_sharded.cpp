@@ -12,7 +12,6 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <fstream>
 #include <set>
 #include <sstream>
 #include <string>
@@ -57,16 +56,6 @@ addChannelWorkloads(ShardedSystem &sys, const DramConfig &dram,
                  profile, chDram, 1.0, shardChannelSeed(baseSeed, c)))
             sys.channel(c).addWorkload(wp);
     }
-}
-
-std::string
-slurp(const std::string &path)
-{
-    std::ifstream in(path, std::ios::binary);
-    EXPECT_TRUE(in.good()) << path;
-    std::ostringstream ss;
-    ss << in.rdbuf();
-    return ss.str();
 }
 
 /** Everything a single-channel run reports, serialised. */
@@ -122,19 +111,17 @@ runOneChannel(const std::string &benchmark, bool sharded)
         out.end = captureSnapshot(sys);
     }
 
-    std::ostringstream hm, hmCsv, lj;
+    std::ostringstream hm, hmCsv, lj, bin, nd;
     heatmap.writeJson(hm);
     heatmap.writeCsv(hmCsv);
     ledger.writeJson(lj, "{}");
+    audit.writeBinary(bin);
+    audit.writeNdjson(nd);
     out.heatmapJson = hm.str();
     out.heatmapCsv = hmCsv.str();
     out.ledgerJson = lj.str();
-    const std::string base = ::testing::TempDir() + "/single_" +
-                             benchmark + (sharded ? "_sharded" : "_plain");
-    audit.writeBinary(base + ".bin");
-    audit.writeNdjson(base + ".ndjson");
-    out.auditBinary = slurp(base + ".bin");
-    out.auditNdjson = slurp(base + ".ndjson");
+    out.auditBinary = bin.str();
+    out.auditNdjson = nd.str();
     return out;
 }
 
@@ -262,10 +249,9 @@ TEST(ShardedSystem, MergedOutputsByteIdenticalAcrossShardJobs)
         std::ostringstream lj;
         ledger.writeJson(lj, "{}");
         out.ledgerJson = lj.str();
-        const std::string path = ::testing::TempDir() + "/audit_j" +
-                                 std::to_string(shardJobs) + ".ndjson";
-        audit.writeNdjson(path);
-        out.auditNdjson = slurp(path);
+        std::ostringstream nd;
+        audit.writeNdjson(nd);
+        out.auditNdjson = nd.str();
         return out;
     };
 

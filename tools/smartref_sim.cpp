@@ -12,8 +12,8 @@
 
 #include <bit>
 #include <filesystem>
-#include <fstream>
 #include <iostream>
+#include <map>
 #include <memory>
 #include <sstream>
 #include <vector>
@@ -143,15 +143,62 @@ printSummary(const std::string &label, const EnergySnapshot &d,
     table.print(std::cout);
 }
 
+/**
+ * The files the output flags name, keyed by flag ("heatmap-csv" for the
+ * heatmap's CSV sibling), each opened before the run starts.
+ */
+using Outputs = std::map<std::string, OutputFile>;
+
+Outputs
+openOutputs(const CliArgs &args)
+{
+    static const std::pair<const char *, const char *> kFiles[] = {
+        {"stats-out", "stats text"},
+        {"stats-json", "stats JSON"},
+        {"heatmap-out", "heatmap JSON"},
+        {"ledger-out", "ledger JSON"},
+        {"ledger-csv", "ledger CSV"},
+        {"ledger-check", "conservation check JSON"},
+        {"audit-out", "audit file"},
+        {"audit-json", "audit NDJSON"},
+    };
+    Outputs files;
+    for (const auto &[flag, what] : kFiles) {
+        if (args.has(flag))
+            files.try_emplace(flag, args.getString(flag), what);
+    }
+    // The interval CSV path has a default; only a period asks for it.
+    if (args.getU64("stats-interval-ms") != 0) {
+        files.try_emplace("stats-interval-out",
+                          args.getString("stats-interval-out"),
+                          "interval CSV");
+    }
+    if (args.has("heatmap-out")) {
+        std::filesystem::path csv(args.getString("heatmap-out"));
+        csv.replace_extension(".csv");
+        files.try_emplace("heatmap-csv", csv.string(), "heatmap CSV");
+    }
+    return files;
+}
+
+/** The open file of output `key`, or null when it was not asked for. */
+OutputFile *
+outputFor(Outputs &files, const std::string &key)
+{
+    const auto it = files.find(key);
+    return it == files.end() ? nullptr : &it->second;
+}
+
 /** --stats-out: the full statistics tree as text. */
 void
-writeStatsText(const std::string &path, const StatGroup &root)
+writeStatsText(Outputs &files, const StatGroup &root)
 {
-    std::ofstream out(path);
-    if (!out)
-        SMARTREF_FATAL("cannot write stats text '", path, "'");
-    root.dumpStats(out);
-    std::cout << "full statistics written to " << path << "\n";
+    OutputFile *file = outputFor(files, "stats-out");
+    if (!file)
+        return;
+    root.dumpStats(file->stream());
+    file->close();
+    std::cout << "full statistics written to " << file->path() << "\n";
 }
 
 /** Attach the sinks and category filter requested on the command line. */
@@ -247,9 +294,10 @@ makeSampler(const CliArgs &args, const StatGroup &root, EventQueue &eq,
  * channel's ledger.
  */
 void
-finishLedgerAudit(const CliArgs &args, const DramModule *dram,
-                  double overheadJoules, const RefreshAudit *audit,
-                  EnergyLedger *ledger, const std::string &configHash)
+finishLedgerAudit(const CliArgs &args, Outputs &files,
+                  const DramModule *dram, double overheadJoules,
+                  const RefreshAudit *audit, EnergyLedger *ledger,
+                  const std::string &configHash)
 {
     if (ledger) {
         ledger->setOverhead(overheadJoules);
@@ -262,40 +310,44 @@ finishLedgerAudit(const CliArgs &args, const DramModule *dram,
         RunMeta meta;
         meta.schema = "smartref-ledger-v1";
         meta.configHash = configHash;
-        if (const std::string path = args.getString("ledger-out");
-            !path.empty()) {
-            ledger->writeJson(path, metaJson(meta));
-            std::cout << "energy ledger written to " << path << "\n";
+        if (OutputFile *file = outputFor(files, "ledger-out")) {
+            ledger->writeJson(file->stream(), metaJson(meta));
+            file->close();
+            std::cout << "energy ledger written to " << file->path()
+                      << "\n";
         }
-        if (const std::string path = args.getString("ledger-csv");
-            !path.empty()) {
-            ledger->writeCsv(path);
-            std::cout << "energy ledger CSV written to " << path << "\n";
+        if (OutputFile *file = outputFor(files, "ledger-csv")) {
+            ledger->writeCsv(file->stream());
+            file->close();
+            std::cout << "energy ledger CSV written to " << file->path()
+                      << "\n";
         }
-        if (const std::string path = args.getString("ledger-check");
-            !path.empty()) {
+        if (OutputFile *file = outputFor(files, "ledger-check")) {
             SMARTREF_ASSERT(dram,
                             "--ledger-check needs a single-module run");
             RunMeta checkMeta;
             checkMeta.schema = "smartref-stats-v1";
             checkMeta.configHash = configHash;
             ledger->writeConservationCheckJson(
-                path, dram->power().fullStatName(), metaJson(checkMeta));
-            std::cout << "conservation check written to " << path << "\n";
+                file->stream(), dram->power().fullStatName(),
+                metaJson(checkMeta));
+            file->close();
+            std::cout << "conservation check written to " << file->path()
+                      << "\n";
         }
     }
     if (audit) {
-        if (const std::string path = args.getString("audit-out");
-            !path.empty()) {
-            audit->writeBinary(path);
+        if (OutputFile *file = outputFor(files, "audit-out")) {
+            audit->writeBinary(file->stream());
+            file->close();
             std::cout << "audit trail (" << audit->total()
-                      << " records) written to " << path << "\n";
+                      << " records) written to " << file->path() << "\n";
         }
-        if (const std::string path = args.getString("audit-json");
-            !path.empty()) {
-            audit->writeNdjson(path);
+        if (OutputFile *file = outputFor(files, "audit-json")) {
+            audit->writeNdjson(file->stream());
+            file->close();
             std::cout << "audit NDJSON (" << audit->total()
-                      << " records) written to " << path << "\n";
+                      << " records) written to " << file->path() << "\n";
         }
     }
 }
@@ -303,45 +355,41 @@ finishLedgerAudit(const CliArgs &args, const DramModule *dram,
 /** End-of-run observability output: interval CSV, JSON stats, heatmap,
  *  flush. `configHash` ties every artifact to the same run provenance. */
 void
-finishObservability(const CliArgs &args, const StatGroup &root,
+finishObservability(Outputs &files, const StatGroup &root,
                     IntervalStats *sampler, const std::string &configHash,
                     const RefreshHeatmap *heatmap)
 {
     if (sampler) {
         sampler->finish();
-        const std::string path = args.getString("stats-interval-out");
-        sampler->writeCsv(path);
-        std::cout << "interval statistics written to " << path << "\n";
+        OutputFile &file = files.at("stats-interval-out");
+        sampler->writeCsv(file.stream());
+        file.close();
+        std::cout << "interval statistics written to " << file.path()
+                  << "\n";
     }
-    if (const std::string path = args.getString("stats-json");
-        !path.empty()) {
+    if (OutputFile *file = outputFor(files, "stats-json")) {
         RunMeta meta;
         meta.schema = "smartref-stats-v1";
         meta.configHash = configHash;
-        writeStatsJson(root, path, metaJson(meta));
-        std::cout << "JSON statistics written to " << path << "\n";
+        writeStatsJson(root, file->stream(), metaJson(meta));
+        file->close();
+        std::cout << "JSON statistics written to " << file->path() << "\n";
     }
     if (heatmap) {
-        const std::string path = args.getString("heatmap-out");
-        std::ofstream out(path);
-        if (!out)
-            SMARTREF_FATAL("cannot write heatmap JSON '", path, "'");
+        OutputFile &json = files.at("heatmap-out");
         RunMeta meta;
         meta.schema = "smartref-heatmap-v1";
         meta.configHash = configHash;
-        out << "{\"schema\":\"smartref-heatmap-v1\",\"meta\":"
-            << metaJson(meta) << ",\"heatmap\":";
-        heatmap->writeJson(out);
-        out << "}\n";
-        std::filesystem::path csvPath(path);
-        csvPath.replace_extension(".csv");
-        std::ofstream csv(csvPath);
-        if (!csv)
-            SMARTREF_FATAL("cannot write heatmap CSV '",
-                           csvPath.string(), "'");
-        heatmap->writeCsv(csv);
-        std::cout << "heatmap written to " << path << " and "
-                  << csvPath.string() << "\n";
+        json.stream() << "{\"schema\":\"smartref-heatmap-v1\",\"meta\":"
+                      << metaJson(meta) << ",\"heatmap\":";
+        heatmap->writeJson(json.stream());
+        json.stream() << "}\n";
+        json.close();
+        OutputFile &csv = files.at("heatmap-csv");
+        heatmap->writeCsv(csv.stream());
+        csv.close();
+        std::cout << "heatmap written to " << json.path() << " and "
+                  << csv.path() << "\n";
     }
     globalTracer().flush();
 }
@@ -382,8 +430,8 @@ run(const CliArgs &args)
                            " (config '", dram.name, "')");
     }
     configureTracer(args);
+    Outputs files = openOutputs(args);
     const std::string tracePath = args.getString("trace");
-    const std::string statsOut = args.getString("stats-out");
 
     SmartRefreshConfig smart;
     smart.counterBits = opts.counterBits;
@@ -468,12 +516,11 @@ run(const CliArgs &args)
                          benchName,
                      d, sys.threeDController().maxRefreshBacklog(),
                      sys.cache().hitRate(), true);
-        if (!statsOut.empty())
-            writeStatsText(statsOut, sys);
-        finishLedgerAudit(args, &sys.threeDDram(),
+        writeStatsText(files, sys);
+        finishLedgerAudit(args, files, &sys.threeDDram(),
                           sys.threeDPolicy().overheadEnergy(),
                           audit.get(), ledger.get(), configHash);
-        finishObservability(args, sys, sampler.get(), configHash,
+        finishObservability(files, sys, sampler.get(), configHash,
                             cfg.heatmap);
     } else {
         // Every conventional config runs on the per-channel sharded
@@ -575,15 +622,14 @@ run(const CliArgs &args)
                           << dram.channels << " channels\n";
             }
         }
-        if (!statsOut.empty())
-            writeStatsText(statsOut, ch0);
+        writeStatsText(files, ch0);
         double overhead = 0.0;
         for (std::uint32_t c = 0; c < dram.channels; ++c)
             overhead += sys.channel(c).refreshPolicy().overheadEnergy();
         sys.mergeObservers();
-        finishLedgerAudit(args, multi ? nullptr : &ch0.dram(), overhead,
-                          audit.get(), ledger.get(), configHash);
-        finishObservability(args, ch0, sampler.get(), configHash,
+        finishLedgerAudit(args, files, multi ? nullptr : &ch0.dram(),
+                          overhead, audit.get(), ledger.get(), configHash);
+        finishObservability(files, ch0, sampler.get(), configHash,
                             cfg.heatmap);
     }
 

@@ -13,9 +13,9 @@
 
 #include <chrono>
 #include <filesystem>
-#include <fstream>
 #include <iostream>
 #include <memory>
+#include <optional>
 
 #include "harness/cli.hh"
 #include "harness/report.hh"
@@ -127,16 +127,31 @@ run(const CliArgs &args)
         opts.cacheVerify = args.has("cache-verify");
     }
 
+    // Every output file is opened before the first job runs, so an
+    // unwritable path fails at once instead of after the whole grid.
     const std::string outDir = args.getString("out-dir");
     std::filesystem::create_directories(outDir);
-    const std::string jsonPath =
-        args.has("json") ? args.getString("json")
-                         : outDir + "/" + grid.name + "_sweep.json";
-    const std::string csvPath =
-        args.has("csv") ? args.getString("csv")
-                        : outDir + "/" + grid.name + "_sweep.csv";
-    const std::string heatmapPath = args.getString("heatmap-out");
-    opts.collectHeatmaps = !heatmapPath.empty();
+    OutputFile json(args.has("json")
+                        ? args.getString("json")
+                        : outDir + "/" + grid.name + "_sweep.json",
+                    "sweep JSON");
+    OutputFile csv(args.has("csv") ? args.getString("csv")
+                                   : outDir + "/" + grid.name +
+                                         "_sweep.csv",
+                   "sweep CSV");
+    std::optional<OutputFile> heatmapJson, heatmapCsv, timing, metrics;
+    if (args.has("heatmap-out")) {
+        // Sibling CSV: foo.json -> foo.csv (or foo + ".csv").
+        std::filesystem::path sibling(args.getString("heatmap-out"));
+        sibling.replace_extension(".csv");
+        heatmapJson.emplace(args.getString("heatmap-out"), "heatmap JSON");
+        heatmapCsv.emplace(sibling.string(), "heatmap CSV");
+    }
+    if (args.has("timing"))
+        timing.emplace(args.getString("timing"), "timing JSON");
+    if (args.has("metrics-out"))
+        metrics.emplace(args.getString("metrics-out"), "metrics JSON");
+    opts.collectHeatmaps = heatmapJson.has_value();
 
     std::unique_ptr<SweepTelemetry> telemetry;
     const std::size_t jobCount =
@@ -163,19 +178,21 @@ run(const CliArgs &args)
                                       start)
             .count();
 
-    writeSweepJson(grid, opts, results, jsonPath);
-    writeSweepCsv(results, csvPath);
-    std::cout << "aggregate JSON written to " << jsonPath << "\n"
-              << "per-job CSV written to " << csvPath << "\n";
+    writeSweepJson(grid, opts, results, json.stream());
+    json.close();
+    writeSweepCsv(results, csv.stream());
+    csv.close();
+    std::cout << "aggregate JSON written to " << json.path() << "\n"
+              << "per-job CSV written to " << csv.path() << "\n";
 
-    if (!heatmapPath.empty()) {
-        writeSweepHeatmapJson(grid, opts, results, heatmapPath);
-        // Sibling CSV: foo.json -> foo.csv (or foo + ".csv").
-        std::filesystem::path heatmapCsv(heatmapPath);
-        heatmapCsv.replace_extension(".csv");
-        writeSweepHeatmapCsv(results, heatmapCsv.string());
-        std::cout << "heatmap JSON written to " << heatmapPath << "\n"
-                  << "heatmap CSV written to " << heatmapCsv.string()
+    if (heatmapJson) {
+        writeSweepHeatmapJson(grid, opts, results, heatmapJson->stream());
+        heatmapJson->close();
+        writeSweepHeatmapCsv(results, heatmapCsv->stream());
+        heatmapCsv->close();
+        std::cout << "heatmap JSON written to " << heatmapJson->path()
+                  << "\n"
+                  << "heatmap CSV written to " << heatmapCsv->path()
                   << "\n";
     }
 
@@ -205,24 +222,20 @@ run(const CliArgs &args)
         std::cerr << std::endl;
     }
 
-    if (args.has("timing")) {
-        const std::string path = args.getString("timing");
-        std::ofstream out(path);
-        if (!out)
-            SMARTREF_FATAL("cannot write timing JSON '", path, "'");
-        writeSweepTimingJson(grid, opts, results, wallSeconds, out);
+    if (timing) {
+        writeSweepTimingJson(grid, opts, results, wallSeconds,
+                             timing->stream());
+        timing->close();
     }
 
-    if (args.has("metrics-out")) {
+    if (metrics) {
         // Like --timing, a non-deterministic sidecar: never part of
         // the aggregate byte-identity contract.
-        const std::string path = args.getString("metrics-out");
-        std::ofstream out(path, std::ios::binary | std::ios::trunc);
-        if (!out)
-            SMARTREF_FATAL("cannot write metrics JSON '", path, "'");
-        globalMetrics().writeJson(out);
-        out << "\n";
-        std::cout << "metrics snapshot written to " << path << "\n";
+        globalMetrics().writeJson(metrics->stream());
+        metrics->stream() << "\n";
+        metrics->close();
+        std::cout << "metrics snapshot written to " << metrics->path()
+                  << "\n";
     }
 
     const std::uint64_t violations = totalViolations(results);
