@@ -25,11 +25,11 @@ void
 runOne(const std::string &benchName, const DramConfig &threeD,
        PolicyKind policy, const ExperimentOptions &opts, ReportTable &out)
 {
-    ThreeDSystemConfig cfg;
-    cfg.threeD = threeD;
-    cfg.threeDPolicy = policy;
+    SystemConfig cfg;
+    cfg.dram = threeD;
+    cfg.policy = policy;
     cfg.smart.counterBits = opts.counterBits;
-    ThreeDSystem sys(cfg);
+    System sys(cfg);
     for (const auto &wp : threeDParams(findProfile(benchName), threeD))
         sys.addWorkload(wp);
 
@@ -43,7 +43,7 @@ runOne(const std::string &benchName, const DramConfig &threeD,
 
     out.addRow({std::string(toString(policy)),
                 fmtMillions(static_cast<double>(d.refreshes) / seconds),
-                fmtPercent(sys.cache().hitRate()),
+                fmtPercent(sys.cache()->hitRate()),
                 fmtDouble(d.refreshEnergy * 1e3),
                 fmtDouble(d.backgroundEnergy * 1e3),
                 fmtDouble((d.actEnergy + d.readEnergy + d.writeEnergy) *

@@ -77,6 +77,7 @@ dram3d_64MB()
 {
     DramConfig c;
     c.name = "3d-64MB-64ms";
+    c.stackedCache = true;
     c.org.ranks = 1;
     c.org.banks = 4;
     c.org.rows = 16384;
@@ -223,7 +224,7 @@ dramConfigByName(const std::string &name)
 bool
 isThreeDConfigName(const std::string &name)
 {
-    return name == "3d64" || name == "3d64-32ms" || name == "3d32";
+    return dramConfigByName(name).stackedCache;
 }
 
 } // namespace smartref

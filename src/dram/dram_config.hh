@@ -145,6 +145,14 @@ struct DramConfig
     bool allowPowerDown = true;
 
     /**
+     * A 3D die-stacked DRAM cache (paper Section 7.2) rather than main
+     * memory: System then puts a DramCache in front of this module and
+     * a CBR-refreshed SystemConfig::mainMem behind it. The dram3d_*
+     * presets set it.
+     */
+    bool stackedCache = false;
+
+    /**
      * How refreshes overlap with demand accesses. PerBank is the
      * historical (and default) behaviour: a refresh occupies only its
      * own bank. See refresh_parallelism.hh for the full family.
@@ -258,9 +266,8 @@ DramConfig server_512GB();
 DramConfig dramConfigByName(const std::string &name);
 
 /**
- * True when the named preset is a 3D die-stacked cache, i.e. must be
- * driven through the DRAM-cache system assembly rather than as main
- * memory.
+ * True when the named preset sets DramConfig::stackedCache; fatal on an
+ * unknown name, like dramConfigByName().
  */
 bool isThreeDConfigName(const std::string &name);
 

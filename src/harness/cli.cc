@@ -5,6 +5,7 @@
 #include <cerrno>
 #include <climits>
 #include <cstdlib>
+#include <filesystem>
 #include <iostream>
 #include <sstream>
 #include <stdexcept>
@@ -232,6 +233,32 @@ OutputFile::close()
     out_.close();
     if (!out_)
         SMARTREF_FATAL("short write to ", what_, " '", path_, "'");
+}
+
+void
+rejectSharedOutputs(
+    const std::vector<std::pair<std::string, std::string>> &outputs)
+{
+    namespace fs = std::filesystem;
+    std::map<fs::path, std::size_t> seen;
+    for (std::size_t i = 0; i < outputs.size(); ++i) {
+        const auto &[flag, path] = outputs[i];
+        std::error_code ec;
+        fs::path file = fs::absolute(path, ec);
+        if (!ec)
+            file = fs::weakly_canonical(file, ec);
+        if (ec)
+            file = fs::path(path).lexically_normal();
+        // A device or pipe (/dev/null, /dev/stdout) takes every writer.
+        if (fs::exists(file, ec) && !fs::is_regular_file(file, ec))
+            continue;
+        const auto [at, fresh] = seen.emplace(file, i);
+        if (!fresh) {
+            const auto &[firstFlag, firstPath] = outputs[at->second];
+            SMARTREF_FATAL(firstFlag, " '", firstPath, "' and ", flag, " '",
+                           path, "' name one file");
+        }
+    }
 }
 
 int

@@ -10,6 +10,7 @@
 #include <fstream>
 #include <map>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "harness/experiment.hh"
@@ -117,6 +118,16 @@ class OutputFile
     std::string what_;
     std::ofstream out_;
 };
+
+/**
+ * Fatal "A 'PATH_A' and B 'PATH_B' name one file" when two of `outputs`,
+ * each (flag as the user knows it, path), resolve to one file. Paths are
+ * compared absolute and normalised, symlinks resolved where they exist,
+ * so "z.json" and "./z.json" collide; a device or pipe such as
+ * /dev/null may repeat. Call it before opening any of them.
+ */
+void rejectSharedOutputs(
+    const std::vector<std::pair<std::string, std::string>> &outputs);
 
 /**
  * A binary's whole main(): parse argv against `spec`, answer --help and

@@ -48,38 +48,19 @@ captureSnapshot(System &sys)
     s.writeEnergy = p.writeEnergy();
     s.backgroundEnergy = p.backgroundEnergy();
     s.overheadEnergy = sys.refreshPolicy().overheadEnergy();
-    s.demandAccesses =
-        sys.controller().demandReads() + sys.controller().demandWrites();
-    s.latencySumTicks = sys.controller().latencySumTicks();
     s.violations = sys.dram().retention().violations();
+    if (const DramCache *cache = sys.cache()) {
+        s.demandAccesses = cache->demandAccesses();
+        s.latencySumTicks = cache->latencySum();
+        s.violations += sys.mainDram()->retention().violations();
+    } else {
+        s.demandAccesses = sys.controller().demandReads() +
+                           sys.controller().demandWrites();
+        s.latencySumTicks = sys.controller().latencySumTicks();
+    }
     s.demandBlockedTicks = sys.controller().demandBlockedTicks();
     s.refreshStallsAvoided = sys.controller().refreshStallsAvoided();
     s.subarrayConflicts = sys.controller().subarrayConflicts();
-    return s;
-}
-
-EnergySnapshot
-captureSnapshot(ThreeDSystem &sys)
-{
-    sys.threeDDram().finalize();
-    EnergySnapshot s;
-    s.tick = sys.eventQueue().now();
-    s.refreshes = sys.threeDDram().totalRefreshes();
-    const auto &p = sys.threeDDram().power();
-    s.refreshEnergy = p.refreshEnergy();
-    s.actEnergy = p.activateEnergy();
-    s.readEnergy = p.readEnergy();
-    s.writeEnergy = p.writeEnergy();
-    s.backgroundEnergy = p.backgroundEnergy();
-    s.overheadEnergy = sys.threeDPolicy().overheadEnergy();
-    s.demandAccesses = sys.cache().demandAccesses();
-    s.latencySumTicks = sys.cache().latencySum();
-    s.violations = sys.threeDDram().retention().violations() +
-                   sys.mainDram().retention().violations();
-    s.demandBlockedTicks = sys.threeDController().demandBlockedTicks();
-    s.refreshStallsAvoided =
-        sys.threeDController().refreshStallsAvoided();
-    s.subarrayConflicts = sys.threeDController().subarrayConflicts();
     return s;
 }
 
@@ -178,8 +159,8 @@ runConventional(const BenchmarkProfile &profile, const DramConfig &dram,
     chDram.channels = 1;
     for (std::uint32_t c = 0; c < dram.channels; ++c) {
         for (const auto &wp :
-             conventionalParams(profile, chDram, absRowScale,
-                                sys.channelSeed(opts.seed, c))) {
+             workloadParams(profile, chDram, absRowScale,
+                            sys.channelSeed(opts.seed, c))) {
             sys.channel(c).addWorkload(wp);
         }
     }
@@ -211,63 +192,11 @@ runConventional(const BenchmarkProfile &profile, const DramConfig &dram,
     return r;
 }
 
-RunResult
-runThreeD(const BenchmarkProfile &profile, const DramConfig &threeD,
-          PolicyKind policy, const ExperimentOptions &opts)
-{
-    if (opts.verbose) {
-        std::cerr << "  [" << threeD.name << "/" << toString(policy)
-                  << "] " << profile.name << "..." << std::endl;
-    }
-    ThreeDSystemConfig cfg;
-    cfg.threeD = threeD;
-    cfg.threeDPolicy = policy;
-    cfg.smart = smartConfig(opts);
-    cfg.heatmap = opts.heatmap;
-    cfg.audit = opts.audit;
-    cfg.ledger = opts.ledger;
-    cfg.retentionClasses = opts.retentionClasses;
-    std::unique_ptr<EnergyLedger> checkLedger;
-    if (opts.checkConservation && !cfg.ledger) {
-        checkLedger = std::make_unique<EnergyLedger>(
-            EnergyLedger::Shape{threeD.org.ranks, threeD.org.banks});
-        cfg.ledger = checkLedger.get();
-    }
-    ThreeDSystem sys(cfg);
-    for (const auto &wp : threeDParams(profile, threeD, opts.seed))
-        sys.addWorkload(wp);
-
-    sys.run(opts.warmup);
-    const EnergySnapshot atWarm = captureSnapshot(sys);
-    sys.run(opts.measure);
-    const EnergySnapshot atEnd = captureSnapshot(sys);
-
-    const std::uint64_t stale =
-        sys.threeDDram().retention().finalCheck(sys.eventQueue().now());
-    EnergySnapshot delta = atEnd - atWarm;
-    delta.violations += stale;
-
-    if (opts.checkConservation)
-        sys.threeDDram().verifyLedger(true);
-
-    RunResult r =
-        reduce(profile.name, profile.suite, toString(policy), delta,
-               sys.threeDController().maxRefreshBacklog(),
-               &sys.threeDController().latencyHistogram());
-    r.eventsExecuted = sys.eventQueue().executed();
-    return r;
-}
-
 ComparisonResult
 comparePolicy(const BenchmarkProfile &profile, const DramConfig &dram,
-              PolicyKind policy, bool threeD, const ExperimentOptions &opts,
+              PolicyKind policy, const ExperimentOptions &opts,
               double absRowScale)
 {
-    const auto run = [&](PolicyKind kind, const ExperimentOptions &o) {
-        return threeD ? runThreeD(profile, dram, kind, o)
-                      : runConventional(profile, dram, kind, o,
-                                        absRowScale);
-    };
     ExperimentOptions baseOpts = opts;
     baseOpts.heatmap = nullptr;
     baseOpts.audit = nullptr;
@@ -277,8 +206,9 @@ comparePolicy(const BenchmarkProfile &profile, const DramConfig &dram,
     ComparisonResult c;
     c.benchmark = profile.name;
     c.suite = profile.suite;
-    c.baseline = run(PolicyKind::Cbr, baseOpts);
-    c.smart = run(policy, opts);
+    c.baseline =
+        runConventional(profile, dram, PolicyKind::Cbr, baseOpts, absRowScale);
+    c.smart = runConventional(profile, dram, policy, opts, absRowScale);
     return c;
 }
 
@@ -303,6 +233,27 @@ requiredNumber(const minijson::Value &v, const char *name)
         throw std::runtime_error(std::string("member '") + name +
                                  "' is not a number");
     return m.number;
+}
+
+const std::string &
+requiredString(const minijson::Value &v, const char *name)
+{
+    const minijson::Value &m = v.at(name);
+    if (!m.isString())
+        throw std::runtime_error(std::string("member '") + name +
+                                 "' is not a string");
+    return m.str;
+}
+
+/** A whole number in [0, 2^53], where every integer is a double. */
+std::uint64_t
+requiredCount(const minijson::Value &v, const char *name)
+{
+    const double x = requiredNumber(v, name);
+    if (!(x >= 0.0 && x <= 0x1p53 && x == std::floor(x)))
+        throw std::runtime_error(std::string("member '") + name +
+                                 "' is not a count");
+    return static_cast<std::uint64_t>(x);
 }
 
 } // namespace
@@ -337,9 +288,9 @@ RunResult
 runResultFromJson(const minijson::Value &v)
 {
     RunResult r;
-    r.benchmark = v.at("benchmark").str;
-    r.suite = v.at("suite").str;
-    r.policy = v.at("policy").str;
+    r.benchmark = requiredString(v, "benchmark");
+    r.suite = requiredString(v, "suite");
+    r.policy = requiredString(v, "policy");
     r.simSeconds = requiredNumber(v, "simSeconds");
     r.refreshesPerSec = requiredNumber(v, "refreshesPerSec");
     r.refreshEnergyJ = requiredNumber(v, "refreshEnergyJ");
@@ -352,18 +303,12 @@ runResultFromJson(const minijson::Value &v)
     r.latencyP99Ns = requiredNumber(v, "latencyP99Ns");
     r.demandBlockedByRefreshTicks =
         requiredNumber(v, "demandBlockedByRefreshTicks");
-    r.refreshStallsAvoided = static_cast<std::uint64_t>(
-        requiredNumber(v, "refreshStallsAvoided"));
-    r.subarrayConflicts = static_cast<std::uint64_t>(
-        requiredNumber(v, "subarrayConflicts"));
-    r.demandAccesses =
-        static_cast<std::uint64_t>(requiredNumber(v, "demandAccesses"));
-    r.violations =
-        static_cast<std::uint64_t>(requiredNumber(v, "violations"));
-    r.maxRefreshBacklog =
-        static_cast<std::size_t>(requiredNumber(v, "maxRefreshBacklog"));
-    r.eventsExecuted =
-        static_cast<std::uint64_t>(requiredNumber(v, "eventsExecuted"));
+    r.refreshStallsAvoided = requiredCount(v, "refreshStallsAvoided");
+    r.subarrayConflicts = requiredCount(v, "subarrayConflicts");
+    r.demandAccesses = requiredCount(v, "demandAccesses");
+    r.violations = requiredCount(v, "violations");
+    r.maxRefreshBacklog = requiredCount(v, "maxRefreshBacklog");
+    r.eventsExecuted = requiredCount(v, "eventsExecuted");
     return r;
 }
 

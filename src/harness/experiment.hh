@@ -16,7 +16,6 @@
 #include <vector>
 
 #include "harness/system.hh"
-#include "harness/threed_system.hh"
 #include "sim/logging.hh"
 #include "trace/benchmark_profiles.hh"
 
@@ -58,11 +57,12 @@ struct EnergySnapshot
 /** Component-wise difference b - a. */
 EnergySnapshot operator-(const EnergySnapshot &b, const EnergySnapshot &a);
 
-/** Capture a conventional system's totals (finalises energies first). */
+/**
+ * Capture a channel's totals (finalises energies first): those of the
+ * module under test, with demand counted where it enters (the cache of
+ * a stacked channel) and violations in main memory included.
+ */
 EnergySnapshot captureSnapshot(System &sys);
-
-/** Capture the 3D module + cache-path totals of a 3D system. */
-EnergySnapshot captureSnapshot(ThreeDSystem &sys);
 
 /** Metrics of one (benchmark, policy) run over the measurement window. */
 struct RunResult
@@ -160,8 +160,9 @@ void writeRunResultJson(std::ostream &os, const RunResult &r);
 
 /**
  * Inverse of writeRunResultJson(). Throws std::runtime_error on any
- * missing or mistyped member — the result cache treats that as a
- * corrupt entry (miss), never as a partial result.
+ * missing or mistyped member — a string that is not a JSON string, a
+ * count that is not a whole number in [0, 2^53] — and the result cache
+ * treats that as a corrupt entry (miss), never as a partial result.
  */
 RunResult runResultFromJson(const minijson::Value &v);
 
@@ -219,33 +220,28 @@ struct ExperimentOptions
 };
 
 /**
- * Run one benchmark on a conventional module with one policy, on a
- * ShardedSystem (harness/sharded.hh) of `dram.channels` channels. A
- * lone channel runs the base seed's workload stream; wider configs
- * give each channel its own shardChannelSeed() stream and reduce the
- * merged totals, byte-identical for any opts.shardJobs.
+ * Run one benchmark on `dram` with one policy, on a ShardedSystem
+ * (harness/sharded.hh) of `dram.channels` channels; a stacked-cache
+ * config runs through its DRAM cache (workloadParams()). A lone channel
+ * runs the base seed's workload stream; wider configs give each channel
+ * its own shardChannelSeed() stream and reduce the merged totals,
+ * byte-identical for any opts.shardJobs.
  */
 RunResult runConventional(const BenchmarkProfile &profile,
                           const DramConfig &dram, PolicyKind policy,
                           const ExperimentOptions &opts,
                           double absRowScale = 1.0);
 
-/** Run one benchmark through the 3D DRAM cache with one policy. */
-RunResult runThreeD(const BenchmarkProfile &profile,
-                    const DramConfig &threeD, PolicyKind policy,
-                    const ExperimentOptions &opts);
-
 /**
- * CBR baseline vs `policy` for one benchmark: through the 3D DRAM
- * cache (runThreeD) when `threeD`, else on a conventional module
- * (runConventional with `absRowScale`). The heatmap, audit trail,
- * ledger and retention-class map apply to the run under test only:
- * the baseline keeps the uniform worst-case retention model and
- * doubles no observer's counts.
+ * CBR baseline vs `policy` for one benchmark, each run by
+ * runConventional. The heatmap, audit trail, ledger and
+ * retention-class map apply to the run under test only: the baseline
+ * keeps the uniform worst-case retention model and doubles no
+ * observer's counts.
  */
 ComparisonResult comparePolicy(const BenchmarkProfile &profile,
                                const DramConfig &dram, PolicyKind policy,
-                               bool threeD, const ExperimentOptions &opts,
+                               const ExperimentOptions &opts,
                                double absRowScale = 1.0);
 
 /** Geometric mean (values must be positive; non-positive are clamped). */

@@ -74,11 +74,9 @@ runSweepJob(const SweepJob &job, const SweepRunOptions &opts)
     // Larger modules spread each footprint over more rows than the 2 GB
     // calibration; the scale follows the row-buffer geometry
     // (absRowScaleFor), not the config's name, so new configs are never
-    // silently unscaled.
-    const bool threeD = isThreeDConfigName(job.point.config);
-    result.comparison =
-        comparePolicy(profile, dram, policy, threeD, eo,
-                      threeD ? 1.0 : absRowScaleFor(dram.org));
+    // silently unscaled. A stacked cache's workload ignores it.
+    result.comparison = comparePolicy(profile, dram, policy, eo,
+                                      absRowScaleFor(dram.org));
 
     result.wallSeconds =
         std::chrono::duration<double>(std::chrono::steady_clock::now() -

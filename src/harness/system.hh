@@ -1,8 +1,11 @@
 /**
  * @file
- * One channel of a conventional system: workloads -> memory controller
- * -> DRAM module, with a selectable refresh policy. Owns the event queue
- * and the statistics tree of that channel. Runs go through
+ * One memory channel: workloads -> memory controller -> DRAM module,
+ * with a selectable refresh policy. For a 3D die-stacked config
+ * (DramConfig::stackedCache, paper Section 7.2) the channel gains a
+ * cache stage: workloads -> DramCache -> the stacked module, with a
+ * CBR-refreshed main-memory module behind the cache. Owns the event
+ * queue and the statistics tree of that channel. Runs go through
  * ShardedSystem (harness/sharded.hh), which builds one System per
  * channel; the type stays public for code that assembles or inspects a
  * channel directly.
@@ -13,6 +16,7 @@
 #include <memory>
 #include <vector>
 
+#include "cache/dram_cache.hh"
 #include "core/smart_refresh.hh"
 #include "ctrl/burst_refresh.hh"
 #include "ctrl/cbr_refresh.hh"
@@ -41,10 +45,18 @@ const char *toString(PolicyKind kind);
 /** Inverse of toString(PolicyKind); fatal on an unknown name. */
 PolicyKind policyFromString(const std::string &name);
 
-/** Full configuration of a conventional system. */
+/** Full configuration of one channel. */
 struct SystemConfig
 {
+    /** The module under test; a stacked cache when dram.stackedCache. */
     DramConfig dram = ddr2_2GB();
+    /**
+     * Main memory behind a stacked cache, always refreshed by CBR and
+     * never observed. Unused unless dram.stackedCache.
+     */
+    DramConfig mainMem = ddr2_2GB();
+    DramCacheConfig cache{};
+    /** Used by every controller of the channel. */
     ControllerConfig ctrl{};
     PolicyKind policy = PolicyKind::Cbr;
     SmartRefreshConfig smart{};
@@ -85,24 +97,14 @@ struct SystemConfig
 BusEnergyParams deriveBusParams(const BusEnergyParams &base,
                                 const DramOrganization &org);
 
-/**
- * Build `cfg.policy` as a child of `parent` for the module `dram` behind
- * `ctrl`, apply `cfg.retentionClasses`' multipliers to the module and
- * attach `cfg`'s heatmap, audit trail and ledger. System uses it for its
- * one channel and ThreeDSystem for its stacked die.
- */
-std::unique_ptr<RefreshPolicy>
-assembleRefreshPolicy(const SystemConfig &cfg, DramModule &dram,
-                      MemoryController &ctrl, EventQueue &eq,
-                      StatGroup *parent);
-
-/** One conventional simulated system. */
+/** One simulated memory channel. */
 class System : public StatGroup
 {
   public:
     explicit System(const SystemConfig &cfg);
 
     EventQueue &eventQueue() { return eq_; }
+    /** The module under test (the stacked die behind a cache). */
     DramModule &dram() { return *dram_; }
     MemoryController &controller() { return *ctrl_; }
     RefreshPolicy &refreshPolicy() { return *policy_; }
@@ -110,8 +112,21 @@ class System : public StatGroup
     /** Non-null only when the system runs Smart Refresh. */
     SmartRefreshPolicy *smartPolicy() { return smartPolicy_; }
 
-    /** Attach a workload generating demand traffic to the controller. */
+    /** @name The cache stage: all null unless dram.stackedCache. */
+    ///@{
+    DramCache *cache() { return cache_.get(); }
+    DramModule *mainDram() { return mainDram_.get(); }
+    MemoryController *mainController() { return mainCtrl_.get(); }
+    ///@}
+
+    /**
+     * Attach a workload generating demand traffic into the channel's
+     * entry: the cache when there is one, else the controller.
+     */
     WorkloadModel &addWorkload(const WorkloadParams &params);
+
+    /** One demand access into the channel's entry (trace replay). */
+    void access(Addr addr, bool write) { entry_(addr, write); }
 
     /**
      * Advance simulated time by `duration`; workloads are started on the
@@ -125,9 +140,24 @@ class System : public StatGroup
   private:
     SystemConfig cfg_;
     EventQueue eq_;
+    /**
+     * Stat group of main memory's module, controller and policy, so
+     * their paths (system3d.mainMem.*) never collide with the stacked
+     * die's. Declared before them: it must outlive its children.
+     */
+    std::unique_ptr<StatGroup> mainMem_;
     std::unique_ptr<DramModule> dram_;
+    std::unique_ptr<DramModule> mainDram_;
     std::unique_ptr<MemoryController> ctrl_;
+    std::unique_ptr<MemoryController> mainCtrl_;
     std::unique_ptr<RefreshPolicy> policy_;
+    std::unique_ptr<RefreshPolicy> mainPolicy_;
+    std::unique_ptr<DramCache> cache_;
+    /**
+     * Where demand enters: the cache, else the controller. Chosen at
+     * construction, so a workload's access costs no per-call branch.
+     */
+    WorkloadModel::Sink entry_;
     SmartRefreshPolicy *smartPolicy_ = nullptr;
     std::vector<std::unique_ptr<WorkloadModel>> workloads_;
     bool started_ = false;

@@ -214,6 +214,15 @@ threeDParams(const BenchmarkProfile &profile, const DramConfig &threeDCfg,
     return v;
 }
 
+std::vector<WorkloadParams>
+workloadParams(const BenchmarkProfile &profile, const DramConfig &cfg,
+               double absRowScale, std::uint64_t seed)
+{
+    return cfg.stackedCache ? threeDParams(profile, cfg, seed)
+                            : conventionalParams(profile, cfg, absRowScale,
+                                                 seed);
+}
+
 WorkloadParams
 idleParams(const DramConfig &cfg, std::uint64_t seed)
 {

@@ -104,6 +104,15 @@ threeDParams(const BenchmarkProfile &profile, const DramConfig &threeDCfg,
              std::uint64_t seed = 42);
 
 /**
+ * The workload of `profile` on `cfg`: threeDParams() for a stacked DRAM
+ * cache (DramConfig::stackedCache), which ignores `absRowScale`, else
+ * conventionalParams().
+ */
+std::vector<WorkloadParams>
+workloadParams(const BenchmarkProfile &profile, const DramConfig &cfg,
+               double absRowScale = 1.0, std::uint64_t seed = 42);
+
+/**
  * A near-idle workload (Section 4.6): row activity below the 1 %
  * disable threshold, for exercising the self-configuration circuit.
  */

@@ -21,7 +21,6 @@
 #include "ctrl/memory_controller.hh"
 #include "ctrl/refresh_audit.hh"
 #include "harness/system.hh"
-#include "harness/threed_system.hh"
 #include "test_config.hh"
 #include "trace/benchmark_profiles.hh"
 
@@ -134,9 +133,9 @@ struct Window
  * Warm `sys` up, then run the measured window. `accesses()` reads the
  * system's demand-access count.
  */
-template <typename Sys, typename Count>
+template <typename Count>
 Window
-measure(Sys &sys, Count accesses)
+measure(System &sys, Count accesses)
 {
     sys.run(8 * kMillisecond);
     const std::uint64_t accessesBefore = accesses();
@@ -204,13 +203,13 @@ TEST(AllocFree, ThreeDSmartSteadyState)
 {
     if (!SMARTREF_ALLOC_COUNTING)
         GTEST_SKIP() << "sanitizer runtime owns operator new";
-    ThreeDSystemConfig cfg;
-    cfg.threeD = dram3d_64MB();
-    cfg.threeDPolicy = PolicyKind::Smart;
-    ThreeDSystem sys(cfg);
-    for (const auto &wp : threeDParams(findProfile("gcc"), cfg.threeD))
+    SystemConfig cfg;
+    cfg.dram = dram3d_64MB();
+    cfg.policy = PolicyKind::Smart;
+    System sys(cfg);
+    for (const auto &wp : threeDParams(findProfile("gcc"), cfg.dram))
         sys.addWorkload(wp);
-    DramCache &cache = sys.cache();
+    DramCache &cache = *sys.cache();
     expectAllocationFree(
         measure(sys, [&cache] { return cache.demandAccesses(); }));
 }

@@ -141,6 +141,26 @@ TEST(AutoReconfigure, OverlapRunsBothMechanisms)
     EXPECT_GT(rig.policy.smartRefreshesRequested(), 0u);
 }
 
+// A CBR refresh issued while the counters are live resets the row's
+// counter (Section 4.6), so in the disable overlap Smart Refresh skips
+// the rows CBR has just restored: CBR covers all 128 rows once, Smart
+// about half of them. Without the reset Smart also refreshes every row.
+TEST(AutoReconfigure, DisableOverlapSkipsRowsCbrRestored)
+{
+    AutoRig rig;
+    const Tick retention = rig.config.timing.retention;
+    rig.eq.runUntil(retention);
+    const std::uint64_t smart = rig.policy.smartRefreshesRequested();
+    const std::uint64_t cbr = rig.policy.cbrRefreshesRequested();
+    rig.eq.runUntil(2 * retention);
+    const std::uint64_t smartInOverlap =
+        rig.policy.smartRefreshesRequested() - smart;
+    const std::uint64_t cbrInOverlap =
+        rig.policy.cbrRefreshesRequested() - cbr;
+    EXPECT_EQ(cbrInOverlap, rig.config.org.totalRows());
+    EXPECT_LT(smartInOverlap, cbrInOverlap);
+}
+
 TEST(AutoReconfigure, CbrModeStopsCounterTraffic)
 {
     AutoRig rig;

@@ -40,7 +40,7 @@ TEST(ExperimentRunner, ConventionalComparisonHitsCalibration)
 {
     const ComparisonResult c =
         comparePolicy(findProfile("fasta"), ddr2_2GB(), PolicyKind::Smart,
-                      /*threeD=*/false, quickOpts());
+                      quickOpts());
     // fasta's calibration target is a 26 % reduction.
     EXPECT_NEAR(c.refreshReduction(), 0.26, 0.05);
     EXPECT_GT(c.refreshEnergySaving(), 0.10);
@@ -51,8 +51,8 @@ TEST(ExperimentRunner, ConventionalComparisonHitsCalibration)
 
 TEST(ExperimentRunner, ThreeDBaselineAnchor)
 {
-    const RunResult r = runThreeD(findProfile("fasta"), dram3d_64MB(),
-                                  PolicyKind::Cbr, quickOpts());
+    const RunResult r = runConventional(findProfile("fasta"), dram3d_64MB(),
+                                        PolicyKind::Cbr, quickOpts());
     EXPECT_NEAR(r.refreshesPerSec, 1024000.0, 1024000.0 * 0.002);
     EXPECT_EQ(r.violations, 0u);
 }
@@ -61,7 +61,7 @@ TEST(ExperimentRunner, ThreeDComparisonHitsCalibration)
 {
     const ComparisonResult c =
         comparePolicy(findProfile("mummer"), dram3d_64MB(),
-                      PolicyKind::Smart, /*threeD=*/true, quickOpts());
+                      PolicyKind::Smart, quickOpts());
     // mummer's 3D calibration target is a 42 % reduction.
     EXPECT_NEAR(c.refreshReduction(), 0.42, 0.06);
     EXPECT_EQ(c.smart.violations, 0u);
@@ -69,9 +69,9 @@ TEST(ExperimentRunner, ThreeDComparisonHitsCalibration)
 
 TEST(ExperimentRunner, ThirtyTwoMsDoublesThreeDBaseline)
 {
-    const RunResult r = runThreeD(findProfile("fasta"),
-                                  dram3d_64MB_32ms(), PolicyKind::Cbr,
-                                  quickOpts());
+    const RunResult r = runConventional(findProfile("fasta"),
+                                        dram3d_64MB_32ms(), PolicyKind::Cbr,
+                                        quickOpts());
     EXPECT_NEAR(r.refreshesPerSec, 2048000.0, 2048000.0 * 0.002);
 }
 

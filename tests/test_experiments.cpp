@@ -4,10 +4,10 @@
  * number the document quotes is asserted here at the precision it is
  * quoted (fmtPercent / fmtDouble, as the report writers print it), at
  * the default settings: 64 ms warmup, 128 ms measurement, 3-bit
- * counters, 8 segments, seed 42. Runs go through runConventional() and
- * runThreeD() wherever ExperimentOptions carries the setting; a bare
- * System is built only for what it does not carry: the idle-precharge
- * timeout, the idle workload and the adversarial queue pattern.
+ * counters, 8 segments, seed 42. Runs go through runConventional()
+ * wherever ExperimentOptions carries the setting; a bare System is
+ * built only for what it does not carry: the idle-precharge timeout,
+ * the idle workload and the adversarial queue pattern.
  */
 
 #include <gtest/gtest.h>
@@ -237,15 +237,16 @@ TEST(Experiments, ThermalLoop)
     };
 
     const RunResult at64 =
-        runThreeD(gccTwolf, dram3d_64MB(), PolicyKind::Cbr, opts);
+        runConventional(gccTwolf, dram3d_64MB(), PolicyKind::Cbr, opts);
     EXPECT_EQ(fmtDouble(model.temperatureC(powerW(at64)), 1), "91.9");
     EXPECT_EQ(model.requiredRetention(powerW(at64), 64 * kMillisecond),
               32 * kMillisecond);
 
     const RunResult cbr =
-        runThreeD(gccTwolf, dram3d_64MB_32ms(), PolicyKind::Cbr, opts);
+        runConventional(gccTwolf, dram3d_64MB_32ms(), PolicyKind::Cbr, opts);
     const RunResult smart =
-        runThreeD(gccTwolf, dram3d_64MB_32ms(), PolicyKind::Smart, opts);
+        runConventional(gccTwolf, dram3d_64MB_32ms(), PolicyKind::Smart,
+                        opts);
     EXPECT_EQ(fmtDouble(model.temperatureC(powerW(cbr)) -
                             model.temperatureC(powerW(smart)),
                         2),

@@ -310,6 +310,65 @@ TEST(ResultCacheRobustness, CorruptEntriesAreMissesAndGetOverwritten)
     EXPECT_EQ(cache.stats().corrupt, 6u);
 }
 
+TEST(ResultCacheRobustness, MistypedMembersAreCorruptMisses)
+{
+    ResultCache cache(freshDir("rc_mistyped"));
+    const SweepJob job = makeJob();
+    const SweepRunOptions opts = fastOptions();
+    const ResultCacheKey key = resultCacheKey(job, opts);
+    const SweepJobResult fresh = runSweepJob(job, opts);
+    cache.store(key, job, fresh);
+
+    const std::string path = cache.entryPath(key.hex);
+    std::string entry;
+    {
+        std::ifstream in(path);
+        std::stringstream text;
+        text << in.rdbuf();
+        entry = text.str();
+    }
+    // One member at a time, in the object that `scope` opens, gets a
+    // value of the wrong type or range: a string that is not one, a
+    // negative, fractional or too large count.
+    struct Edit
+    {
+        const char *scope;
+        const char *member;
+        const char *value;
+    };
+    const Edit edits[] = {
+        {"\"smart\":{", "policy", "7"},
+        {"\"smart\":{", "benchmark", "null"},
+        {"\"smart\":{", "violations", "-1"},
+        {"\"smart\":{", "demandAccesses", "1.5"},
+        {"\"baseline\":{", "eventsExecuted", "1e300"},
+        {"\"comparison\":{", "suite", "[]"},
+    };
+    for (const Edit &e : edits) {
+        SCOPED_TRACE(std::string(e.member) + ":" + e.value);
+        const std::string name = std::string("\"") + e.member + "\":";
+        const auto at = entry.find(name, entry.find(e.scope));
+        ASSERT_NE(at, std::string::npos);
+        const auto from = at + name.size();
+        std::string edited = entry;
+        edited.replace(from, edited.find_first_of(",}", from) - from,
+                       e.value);
+        {
+            std::ofstream out(path, std::ios::trunc);
+            out << edited;
+        }
+        SweepJobResult r;
+        EXPECT_FALSE(cache.lookup(key, r));
+    }
+    EXPECT_EQ(cache.stats().corrupt, std::size(edits));
+    EXPECT_EQ(cache.stats().hits, 0u);
+
+    // Recompute-and-overwrite restores the entry.
+    cache.store(key, job, fresh);
+    SweepJobResult ok;
+    EXPECT_TRUE(cache.lookup(key, ok));
+}
+
 TEST(ResultCacheRobustness, ConcurrentStoresOfTheSameKeyAreSafe)
 {
     ResultCache cache(freshDir("rc_concurrent"));

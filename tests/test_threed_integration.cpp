@@ -1,8 +1,9 @@
 /**
  * @file
- * End-to-end 3D die-stacked system tests: cache behaviour in front of
- * two DRAM domains, refresh policies on the stacked die, and the
- * retention-vs-reduction relationship between 64 ms and 32 ms.
+ * End-to-end tests of a System with a stacked DRAM cache stage: cache
+ * behaviour in front of two DRAM domains, refresh policies on the
+ * stacked die, and the retention-vs-reduction relationship between
+ * 64 ms and 32 ms.
  */
 
 #include <gtest/gtest.h>
@@ -18,16 +19,17 @@ using namespace smartref;
 
 namespace {
 
-ThreeDSystemConfig
+SystemConfig
 tinyThreeD(PolicyKind policy, Tick retention = 4 * kMillisecond)
 {
-    ThreeDSystemConfig cfg;
-    cfg.threeD = tcfg::tinyConfig();
-    cfg.threeD.name = "tiny3d";
-    cfg.threeD.allowPowerDown = false;
-    cfg.threeD.timing.retention = retention;
+    SystemConfig cfg;
+    cfg.dram = tcfg::tinyConfig();
+    cfg.dram.name = "tiny3d";
+    cfg.dram.stackedCache = true;
+    cfg.dram.allowPowerDown = false;
+    cfg.dram.timing.retention = retention;
     cfg.mainMem = tcfg::smallConfig();
-    cfg.threeDPolicy = policy;
+    cfg.policy = policy;
     cfg.smart.autoReconfigure = false;
     return cfg;
 }
@@ -57,28 +59,43 @@ cacheWorkload(const DramConfig &threeD, double coverage,
 
 TEST(ThreeDIntegration, WarmWorkingSetHitsInCache)
 {
-    ThreeDSystem sys(tinyThreeD(PolicyKind::Cbr));
+    System sys(tinyThreeD(PolicyKind::Cbr));
     // High re-visit rate: every resident line is touched many times.
-    sys.addWorkload(cacheWorkload(sys.config().threeD, 0.5, 0.05));
-    sys.run(4 * sys.config().threeD.timing.retention);
+    sys.addWorkload(cacheWorkload(sys.config().dram, 0.5, 0.05));
+    sys.run(4 * sys.config().dram.timing.retention);
     // After the first sweep the resident set always hits.
-    EXPECT_GT(sys.cache().hitRate(), 0.8);
+    EXPECT_GT(sys.cache()->hitRate(), 0.8);
     // Main memory saw only the cold misses.
-    EXPECT_LT(sys.mainDram().reads() + sys.mainDram().writes(),
-              sys.threeDDram().reads() + sys.threeDDram().writes());
+    EXPECT_LT(sys.mainDram()->reads() + sys.mainDram()->writes(),
+              sys.dram().reads() + sys.dram().writes());
+}
+
+TEST(ThreeDIntegration, AccessEntersThroughTheCache)
+{
+    // The trace-replay entry: a demand access goes through the tags,
+    // so one cold miss reaches main memory and the repeats hit.
+    System sys(tinyThreeD(PolicyKind::Cbr));
+    sys.run(0);
+    for (int i = 0; i < 4; ++i)
+        sys.access(0, false);
+    sys.run(kMillisecond);
+    EXPECT_EQ(sys.cache()->demandAccesses(), 4u);
+    EXPECT_EQ(sys.cache()->misses(), 1u);
+    EXPECT_EQ(sys.mainController()->demandReads(), 1u);
+    EXPECT_EQ(sys.controller().demandReads(), 3u);
 }
 
 TEST(ThreeDIntegration, BothRetentionDomainsAreSafe)
 {
-    ThreeDSystem sys(tinyThreeD(PolicyKind::Smart));
-    sys.addWorkload(cacheWorkload(sys.config().threeD, 0.5));
-    sys.run(5 * sys.config().threeD.timing.retention);
-    EXPECT_EQ(sys.threeDDram().retention().violations(), 0u);
-    EXPECT_EQ(sys.mainDram().retention().violations(), 0u);
-    EXPECT_EQ(sys.threeDDram().retention().finalCheck(
+    System sys(tinyThreeD(PolicyKind::Smart));
+    sys.addWorkload(cacheWorkload(sys.config().dram, 0.5));
+    sys.run(5 * sys.config().dram.timing.retention);
+    EXPECT_EQ(sys.dram().retention().violations(), 0u);
+    EXPECT_EQ(sys.mainDram()->retention().violations(), 0u);
+    EXPECT_EQ(sys.dram().retention().finalCheck(
                   sys.eventQueue().now()),
               0u);
-    EXPECT_EQ(sys.mainDram().retention().finalCheck(
+    EXPECT_EQ(sys.mainDram()->retention().finalCheck(
                   sys.eventQueue().now()),
               0u);
 }
@@ -86,9 +103,9 @@ TEST(ThreeDIntegration, BothRetentionDomainsAreSafe)
 TEST(ThreeDIntegration, SmartReducesStackedRefreshes)
 {
     auto run = [](PolicyKind kind) {
-        ThreeDSystem sys(tinyThreeD(kind));
-        sys.addWorkload(cacheWorkload(sys.config().threeD, 0.5));
-        const Tick retention = sys.config().threeD.timing.retention;
+        System sys(tinyThreeD(kind));
+        sys.addWorkload(cacheWorkload(sys.config().dram, 0.5));
+        const Tick retention = sys.config().dram.timing.retention;
         sys.run(retention);
         const EnergySnapshot warm = captureSnapshot(sys);
         sys.run(3 * retention);
@@ -104,9 +121,9 @@ TEST(ThreeDIntegration, SmartReducesStackedRefreshes)
 TEST(ThreeDIntegration, HalvedRetentionDoublesBaselineRefreshes)
 {
     auto run = [](Tick retention) {
-        ThreeDSystem sys(tinyThreeD(PolicyKind::Cbr, retention));
+        System sys(tinyThreeD(PolicyKind::Cbr, retention));
         sys.run(8 * kMillisecond);
-        return sys.threeDDram().totalRefreshes();
+        return sys.dram().totalRefreshes();
     };
     const auto at4ms = run(4 * kMillisecond);
     const auto at2ms = run(2 * kMillisecond);
@@ -121,11 +138,11 @@ TEST(ThreeDIntegration, FasterRefreshShrinksRelativeReduction)
     // eliminates a smaller fraction of refreshes at the doubled rate.
     auto reduction = [](Tick retention) {
         auto run = [&](PolicyKind kind) {
-            ThreeDSystem sys(tinyThreeD(kind, retention));
+            System sys(tinyThreeD(kind, retention));
             // Calibrate the stream against 4 ms regardless of config
             // (revisit ~2 ms: inside the 3-bit deadline at 4 ms, only
             // just inside at 2 ms).
-            DramConfig ref = tinyThreeD(kind, 4 * kMillisecond).threeD;
+            DramConfig ref = tinyThreeD(kind, 4 * kMillisecond).dram;
             sys.addWorkload(cacheWorkload(ref, 0.5, 0.6));
             sys.run(4 * kMillisecond);
             const EnergySnapshot warm = captureSnapshot(sys);
@@ -147,61 +164,61 @@ TEST(ThreeDIntegration, FasterRefreshShrinksRelativeReduction)
 
 TEST(ThreeDIntegration, MainMemoryRunsCbr)
 {
-    ThreeDSystem sys(tinyThreeD(PolicyKind::Smart));
+    System sys(tinyThreeD(PolicyKind::Smart));
     sys.run(2 * sys.config().mainMem.timing.retention);
     // Main memory refreshes at its geometric baseline under CBR.
-    EXPECT_GE(sys.mainDram().totalRefreshes(),
+    EXPECT_GE(sys.mainDram()->totalRefreshes(),
               sys.config().mainMem.org.totalRows());
 }
 
 TEST(ThreeDIntegration, DirtyWorkingSetWritesBack)
 {
-    ThreeDSystem sys(tinyThreeD(PolicyKind::Cbr));
-    WorkloadParams wp = cacheWorkload(sys.config().threeD, 0.5);
+    System sys(tinyThreeD(PolicyKind::Cbr));
+    WorkloadParams wp = cacheWorkload(sys.config().dram, 0.5);
     wp.readFraction = 0.0; // all writes
     // Make the footprint twice the cache capacity so aliasing lines
     // continually evict dirty victims.
-    wp.footprintRows = 2 * sys.config().threeD.org.totalRows();
+    wp.footprintRows = 2 * sys.config().dram.org.totalRows();
     sys.addWorkload(wp);
-    sys.run(3 * sys.config().threeD.timing.retention);
-    EXPECT_GT(sys.cache().writebacks(), 0u);
-    EXPECT_GT(sys.mainDram().writes(), 0u);
+    sys.run(3 * sys.config().dram.timing.retention);
+    EXPECT_GT(sys.cache()->writebacks(), 0u);
+    EXPECT_GT(sys.mainDram()->writes(), 0u);
 }
 
 TEST(ThreeDIntegration, RetentionAwarePolicyOnStackedDie)
 {
     // Section 8 composition also applies to the 3D module: RAPID-style
     // classes on the stacked die's rows.
-    ThreeDSystemConfig cfg = tinyThreeD(PolicyKind::RetentionAware);
+    SystemConfig cfg = tinyThreeD(PolicyKind::RetentionAware);
     RetentionClassParams cp;
     cp.seed = 12;
     cfg.retentionClasses = std::make_shared<RetentionClassMap>(
-        cfg.threeD.org.totalRows(), cp);
-    ThreeDSystem sys(cfg);
-    sys.addWorkload(cacheWorkload(sys.config().threeD, 0.3));
-    sys.run(6 * cfg.threeD.timing.retention);
-    EXPECT_EQ(sys.threeDDram().retention().violations(), 0u);
-    EXPECT_EQ(sys.threeDDram().retention().finalCheck(
+        cfg.dram.org.totalRows(), cp);
+    System sys(cfg);
+    sys.addWorkload(cacheWorkload(sys.config().dram, 0.3));
+    sys.run(6 * cfg.dram.timing.retention);
+    EXPECT_EQ(sys.dram().retention().violations(), 0u);
+    EXPECT_EQ(sys.dram().retention().finalCheck(
                   sys.eventQueue().now()),
               0u);
     // Classes skip refreshes even without Smart Refresh.
-    EXPECT_LT(sys.threeDDram().totalRefreshes(),
-              6 * cfg.threeD.org.totalRows());
+    EXPECT_LT(sys.dram().totalRefreshes(),
+              6 * cfg.dram.org.totalRows());
 }
 
 TEST(ThreeDIntegration, SmartWithClassesOnStackedDie)
 {
-    ThreeDSystemConfig cfg = tinyThreeD(PolicyKind::Smart);
+    SystemConfig cfg = tinyThreeD(PolicyKind::Smart);
     RetentionClassParams cp;
     cp.seed = 13;
     cfg.retentionClasses = std::make_shared<RetentionClassMap>(
-        cfg.threeD.org.totalRows(), cp);
-    ThreeDSystem sys(cfg);
-    sys.addWorkload(cacheWorkload(sys.config().threeD, 0.4));
-    sys.run(8 * cfg.threeD.timing.retention);
+        cfg.dram.org.totalRows(), cp);
+    System sys(cfg);
+    sys.addWorkload(cacheWorkload(sys.config().dram, 0.4));
+    sys.run(8 * cfg.dram.timing.retention);
     EXPECT_EQ(sys.smartPolicy()->counters().bits(), 5u); // widened
-    EXPECT_EQ(sys.threeDDram().retention().violations(), 0u);
-    EXPECT_EQ(sys.threeDDram().retention().finalCheck(
+    EXPECT_EQ(sys.dram().retention().violations(), 0u);
+    EXPECT_EQ(sys.dram().retention().finalCheck(
                   sys.eventQueue().now()),
               0u);
 }
@@ -213,23 +230,23 @@ TEST(ThreeDIntegration, StatsExportKeepsBothDomainsApart)
     // under CBR, where both domains run a policy named "refresh.cbr".
     for (PolicyKind kind : {PolicyKind::Smart, PolicyKind::Cbr}) {
         SCOPED_TRACE(toString(kind));
-        ThreeDSystem sys(tinyThreeD(kind));
-        WorkloadParams wp = cacheWorkload(sys.config().threeD, 0.5);
+        System sys(tinyThreeD(kind));
+        WorkloadParams wp = cacheWorkload(sys.config().dram, 0.5);
         // Twice the cache capacity, so misses reach main memory.
-        wp.footprintRows = 2 * sys.config().threeD.org.totalRows();
+        wp.footprintRows = 2 * sys.config().dram.org.totalRows();
         sys.addWorkload(wp);
-        sys.run(2 * sys.config().threeD.timing.retention);
-        ASSERT_GT(sys.mainController().demandReads(), 0u);
+        sys.run(2 * sys.config().dram.timing.retention);
+        ASSERT_GT(sys.mainController()->demandReads(), 0u);
 
         std::ostringstream os;
         ASSERT_NO_THROW(writeStatsJson(sys, os));
         const minijson::Value doc = minijson::parse(os.str());
         const minijson::Value &stats = doc.at("stats");
         EXPECT_EQ(stats.at("system3d.ctrl.demandReads").at("value").number,
-                  double(sys.threeDController().demandReads()));
+                  double(sys.controller().demandReads()));
         EXPECT_EQ(
             stats.at("system3d.mainMem.ctrl.demandReads").at("value").number,
-            double(sys.mainController().demandReads()));
+            double(sys.mainController()->demandReads()));
 
         const std::string stacked =
             std::string("system3d.refresh.") + toString(kind) + ".";

@@ -132,6 +132,7 @@ fence_hash(2gb-full "")
 foreach(variant
         "3d64-smart: --config 3d64 --policy smart"
         "3d64-cbr: --config 3d64 --policy cbr"
+        "3d64-classes: --config 3d64 --policy retention-aware --classes --scheme rank-bank-row"
         "2gb-darp: --parallelism darp"
         "2gb-sarp: --parallelism sarp"
         "2gb-per-bank: --policy per-bank"

@@ -107,9 +107,10 @@ listProfiles()
     table.print(std::cout);
 }
 
+/** The run's summary table; `cache` adds the stacked cache's hit rate. */
 void
 printSummary(const std::string &label, const EnergySnapshot &d,
-             std::size_t backlog, double hitRate, bool isCache)
+             std::size_t backlog, const DramCache *cache)
 {
     const double seconds =
         static_cast<double>(d.tick) / static_cast<double>(kSecond);
@@ -119,8 +120,8 @@ printSummary(const std::string &label, const EnergySnapshot &d,
                   fmtMillions(static_cast<double>(d.refreshes) / seconds) +
                       " M"});
     table.addRow({"demand accesses", std::to_string(d.demandAccesses)});
-    if (isCache)
-        table.addRow({"cache hit rate", fmtPercent(hitRate)});
+    if (cache)
+        table.addRow({"cache hit rate", fmtPercent(cache->hitRate())});
     table.addRow(
         {"avg demand latency (ns)",
          fmtDouble(d.demandAccesses
@@ -145,13 +146,21 @@ printSummary(const std::string &label, const EnergySnapshot &d,
 
 /**
  * The files the output flags name, keyed by flag ("heatmap-csv" for the
- * heatmap's CSV sibling), each opened before the run starts.
+ * heatmap's CSV sibling), each opened before the run starts. Two output
+ * flags, the tracer's included, that name one file are fatal.
  */
 using Outputs = std::map<std::string, OutputFile>;
 
 Outputs
 openOutputs(const CliArgs &args)
 {
+    struct Wanted
+    {
+        std::string key;
+        std::string path;
+        const char *what;
+    };
+    std::vector<Wanted> wanted;
     static const std::pair<const char *, const char *> kFiles[] = {
         {"stats-out", "stats text"},
         {"stats-json", "stats JSON"},
@@ -162,22 +171,39 @@ openOutputs(const CliArgs &args)
         {"audit-out", "audit file"},
         {"audit-json", "audit NDJSON"},
     };
-    Outputs files;
     for (const auto &[flag, what] : kFiles) {
         if (args.has(flag))
-            files.try_emplace(flag, args.getString(flag), what);
+            wanted.push_back({flag, args.getString(flag), what});
     }
     // The interval CSV path has a default; only a period asks for it.
     if (args.getU64("stats-interval-ms") != 0) {
-        files.try_emplace("stats-interval-out",
+        wanted.push_back({"stats-interval-out",
                           args.getString("stats-interval-out"),
-                          "interval CSV");
+                          "interval CSV"});
     }
     if (args.has("heatmap-out")) {
         std::filesystem::path csv(args.getString("heatmap-out"));
         csv.replace_extension(".csv");
-        files.try_emplace("heatmap-csv", csv.string(), "heatmap CSV");
+        wanted.push_back({"heatmap-csv", csv.string(), "heatmap CSV"});
     }
+    // The tracer opens its own files, after this check.
+    std::vector<std::pair<std::string, std::string>> named;
+    for (const Wanted &w : wanted) {
+        named.emplace_back(w.key == "heatmap-csv"
+                               ? "--heatmap-out's CSV sibling"
+                               : "--" + w.key,
+                           w.path);
+    }
+    for (const char *flag : {"trace-out", "trace-csv"}) {
+        if (args.has(flag))
+            named.emplace_back(std::string("--") + flag,
+                               args.getString(flag));
+    }
+    rejectSharedOutputs(named);
+
+    Outputs files;
+    for (const Wanted &w : wanted)
+        files.try_emplace(w.key, w.path, w.what);
     return files;
 }
 
@@ -404,33 +430,25 @@ run(const CliArgs &args)
 
     const ExperimentOptions opts = args.experimentOptions();
     setLogLevel(opts.logLevel);
-    const std::string configName = args.getString("config");
-    DramConfig dram = dramConfigByName(configName);
+    DramConfig dram = dramConfigByName(args.getString("config"));
     if (args.has("parallelism"))
         dram.parallelism =
             parallelismFromString(args.getString("parallelism"));
     const PolicyKind policy = policyFromString(args.getString("policy"));
-    // Flags an assembly cannot honour yet are fatal, not ignored: the 3D
-    // cache takes a benchmark workload only, and a multi-channel run has
-    // no single-channel observers.
-    const bool threed = isThreeDConfigName(configName);
-    static const std::vector<std::string> threeDFlags = {
-        "classes", "idle", "light", "trace", "scheme"};
+    // A multi-channel run has no single-channel observers yet: the
+    // flags that need one are fatal, not ignored.
     static const std::vector<std::string> multiChannelFlags = {
         "trace", "trace-out", "trace-csv", "stats-out", "stats-json",
         "stats-interval-ms", "stats-interval-out", "interval-cols",
         "ledger-check", "classes"};
-    for (const std::string &flag :
-         threed ? threeDFlags
-                : dram.channels > 1 ? multiChannelFlags
-                                    : std::vector<std::string>{}) {
-        if (args.has(flag))
-            SMARTREF_FATAL("--", flag, " is not yet supported with ",
-                           threed ? "a 3D config" : "channels > 1",
-                           " (config '", dram.name, "')");
+    const bool multi = dram.channels > 1;
+    for (const std::string &flag : multiChannelFlags) {
+        if (multi && args.has(flag))
+            SMARTREF_FATAL("--", flag, " is not yet supported with"
+                           " channels > 1 (config '", dram.name, "')");
     }
-    configureTracer(args);
     Outputs files = openOutputs(args);
+    configureTracer(args);
     const std::string tracePath = args.getString("trace");
 
     SmartRefreshConfig smart;
@@ -444,7 +462,7 @@ run(const CliArgs &args)
     // configuration hash so they can be attributed to one experiment.
     std::ostringstream cfgKey;
     cfgKey << "config=" << dram.name << ";policy=" << toString(policy)
-           << ";threed=" << (threed ? 1 : 0);
+           << ";threed=" << (dram.stackedCache ? 1 : 0);
     // Same convention as sweepConfigHash: the historical default mode
     // leaves pre-parallelism hashes untouched.
     if (dram.parallelism != RefreshParallelism::PerBank)
@@ -479,161 +497,110 @@ run(const CliArgs &args)
             dram.channels * dram.org.ranks, dram.org.banks});
     }
 
-    std::uint64_t violations = 0;
-
-    if (threed) {
-        ThreeDSystemConfig cfg;
-        cfg.threeD = dram;
-        cfg.threeDPolicy = policy;
-        cfg.smart = smart;
-        std::unique_ptr<RefreshHeatmap> heatmap;
-        if (args.has("heatmap-out")) {
-            heatmap = std::make_unique<RefreshHeatmap>(
-                dram.org.ranks, dram.org.banks, opts.segments,
-                (1u << opts.counterBits) - 1);
-            cfg.heatmap = heatmap.get();
-        }
-        cfg.audit = audit.get();
-        cfg.ledger = ledger.get();
-        ThreeDSystem sys(cfg);
-        const std::string benchName = args.getString("benchmark");
-        for (const auto &wp : threeDParams(findProfile(benchName), dram,
-                                           opts.seed))
-            sys.addWorkload(wp);
-
-        auto sampler =
-            makeSampler(args, sys, sys.eventQueue(),
-                        sys.threeDController(), sys.threeDDram(),
-                        sys.smartPolicy());
-        sys.run(opts.warmup);
-        const EnergySnapshot warm = captureSnapshot(sys);
-        sys.run(opts.measure);
-        EnergySnapshot d = captureSnapshot(sys) - warm;
-        d.violations += sys.threeDDram().retention().finalCheck(
-            sys.eventQueue().now());
-        violations = d.violations;
-        printSummary(dram.name + " / " + toString(policy) + " / " +
-                         benchName,
-                     d, sys.threeDController().maxRefreshBacklog(),
-                     sys.cache().hitRate(), true);
-        writeStatsText(files, sys);
-        finishLedgerAudit(args, files, &sys.threeDDram(),
-                          sys.threeDPolicy().overheadEnergy(),
-                          audit.get(), ledger.get(), configHash);
-        finishObservability(files, sys, sampler.get(), configHash,
-                            cfg.heatmap);
-    } else {
-        // Every conventional config runs on the per-channel sharded
-        // engine (harness/sharded.hh): one event queue per channel,
-        // advanced in epoch lock-step on up to -j N workers with
-        // deterministic merges, so every artifact below is
-        // byte-identical for any -j value. A lone channel advances in
-        // one slice per window, exactly like a plain System.
-        const bool multi = dram.channels > 1;
-
-        SystemConfig cfg;
-        cfg.dram = dram;
-        cfg.policy = policy;
-        cfg.smart = smart;
-        cfg.ctrl.scheme = schemeByName(args.getString("scheme"));
-        if (args.has("classes")) {
-            // RAPID-style retention classes (see DESIGN.md section 9).
-            RetentionClassParams cp;
-            cp.seed = opts.seed;
-            cfg.retentionClasses = std::make_shared<RetentionClassMap>(
-                dram.org.totalRows(), cp);
-        }
-        std::unique_ptr<RefreshHeatmap> heatmap;
-        if (args.has("heatmap-out")) {
-            // Per-channel shape: channels overlay onto one grid.
-            // Retention classes widen the counters (multi-rate rows),
-            // so the heatmap's value axis must widen with them.
-            std::uint32_t bits = opts.counterBits;
-            if (cfg.retentionClasses)
-                bits += static_cast<std::uint32_t>(std::bit_width(
-                    cfg.retentionClasses->maxMultiplier() - 1));
-            heatmap = std::make_unique<RefreshHeatmap>(
-                dram.org.ranks, dram.org.banks, opts.segments,
-                (1u << bits) - 1);
-            cfg.heatmap = heatmap.get();
-        }
-        cfg.audit = audit.get();
-        cfg.ledger = ledger.get();
-
-        ShardedSystem sys(cfg, opts.shardJobs);
-        System &ch0 = sys.channel(0);
-        auto sampler = makeSampler(args, ch0, ch0.eventQueue(),
-                                   ch0.controller(), ch0.dram(),
-                                   ch0.smartPolicy());
-
-        std::string label;
-        EnergySnapshot d;
-        if (!tracePath.empty()) {
-            label = "trace:" + tracePath;
-            // Trace-driven: inject records as simulated time advances.
-            TraceReader reader(tracePath);
-            TraceRecord rec;
-            Tick last = 0;
-            sys.run(0);
-            while (reader.next(rec)) {
-                if (rec.tick > last) {
-                    sys.run(rec.tick - last);
-                    last = rec.tick;
-                }
-                ch0.controller().access(rec.addr, rec.write);
-            }
-            sys.run(opts.measure);
-            d = sys.captureMergedSnapshot();
-        } else {
-            DramConfig chDram = dram;
-            chDram.channels = 1;
-            for (std::uint32_t c = 0; c < dram.channels; ++c) {
-                const std::uint64_t seed = sys.channelSeed(opts.seed, c);
-                if (args.has("idle")) {
-                    label = "idle-os";
-                    sys.channel(c).addWorkload(idleParams(chDram, seed));
-                } else if (args.has("light")) {
-                    label = "light-activity";
-                    sys.channel(c).addWorkload(lightParams(chDram, seed));
-                } else {
-                    label = args.getString("benchmark");
-                    for (const auto &wp : conventionalParams(
-                             findProfile(label), chDram, 1.0, seed))
-                        sys.channel(c).addWorkload(wp);
-                }
-            }
-            sys.run(opts.warmup);
-            const EnergySnapshot warm = sys.captureMergedSnapshot();
-            sys.run(opts.measure);
-            d = sys.captureMergedSnapshot() - warm;
-        }
-        d.violations += sys.finalCheck();
-        violations = d.violations;
-        printSummary(dram.name + " / " + toString(policy) + " / " +
-                         label,
-                     d, sys.maxRefreshBacklog(), 0.0, false);
-        if (multi) {
-            std::cout << "channels: " << dram.channels
-                      << ", resident counter bytes: "
-                      << sys.residentCounterBytes() << "\n";
-            if (args.has("check-conservation")) {
-                sys.verifyLedgers(true);
-                std::cout << "energy conservation verified on all "
-                          << dram.channels << " channels\n";
-            }
-        }
-        writeStatsText(files, ch0);
-        double overhead = 0.0;
-        for (std::uint32_t c = 0; c < dram.channels; ++c)
-            overhead += sys.channel(c).refreshPolicy().overheadEnergy();
-        sys.mergeObservers();
-        finishLedgerAudit(args, files, multi ? nullptr : &ch0.dram(),
-                          overhead, audit.get(), ledger.get(), configHash);
-        finishObservability(files, ch0, sampler.get(), configHash,
-                            cfg.heatmap);
+    // Every config runs on the per-channel sharded engine
+    // (harness/sharded.hh): one event queue per channel, advanced in
+    // epoch lock-step on up to -j N workers with deterministic merges,
+    // so every artifact below is byte-identical for any -j value. A
+    // lone channel advances in one slice per window, exactly like a
+    // plain System; a stacked config's channel has its DRAM cache.
+    SystemConfig cfg;
+    cfg.dram = dram;
+    cfg.policy = policy;
+    cfg.smart = smart;
+    cfg.ctrl.scheme = schemeByName(args.getString("scheme"));
+    if (args.has("classes")) {
+        // RAPID-style retention classes (see DESIGN.md section 9).
+        RetentionClassParams cp;
+        cp.seed = opts.seed;
+        cfg.retentionClasses = std::make_shared<RetentionClassMap>(
+            dram.org.totalRows(), cp);
     }
+    std::unique_ptr<RefreshHeatmap> heatmap;
+    if (args.has("heatmap-out")) {
+        // Per-channel shape: channels overlay onto one grid. Retention
+        // classes widen the counters (multi-rate rows), so the
+        // heatmap's value axis must widen with them.
+        std::uint32_t bits = opts.counterBits;
+        if (cfg.retentionClasses)
+            bits += static_cast<std::uint32_t>(std::bit_width(
+                cfg.retentionClasses->maxMultiplier() - 1));
+        heatmap = std::make_unique<RefreshHeatmap>(
+            dram.org.ranks, dram.org.banks, opts.segments,
+            (1u << bits) - 1);
+        cfg.heatmap = heatmap.get();
+    }
+    cfg.audit = audit.get();
+    cfg.ledger = ledger.get();
 
-    return violations == 0 ? 0 : 1;
+    ShardedSystem sys(cfg, opts.shardJobs);
+    System &ch0 = sys.channel(0);
+    auto sampler = makeSampler(args, ch0, ch0.eventQueue(), ch0.controller(),
+                               ch0.dram(), ch0.smartPolicy());
+
+    std::string label;
+    EnergySnapshot d;
+    if (!tracePath.empty()) {
+        label = "trace:" + tracePath;
+        // Trace-driven: inject records as simulated time advances.
+        TraceReader reader(tracePath);
+        TraceRecord rec;
+        Tick last = 0;
+        sys.run(0);
+        while (reader.next(rec)) {
+            if (rec.tick > last) {
+                sys.run(rec.tick - last);
+                last = rec.tick;
+            }
+            ch0.access(rec.addr, rec.write);
+        }
+        sys.run(opts.measure);
+        d = sys.captureMergedSnapshot();
+    } else {
+        DramConfig chDram = dram;
+        chDram.channels = 1;
+        for (std::uint32_t c = 0; c < dram.channels; ++c) {
+            const std::uint64_t seed = sys.channelSeed(opts.seed, c);
+            if (args.has("idle")) {
+                label = "idle-os";
+                sys.channel(c).addWorkload(idleParams(chDram, seed));
+            } else if (args.has("light")) {
+                label = "light-activity";
+                sys.channel(c).addWorkload(lightParams(chDram, seed));
+            } else {
+                label = args.getString("benchmark");
+                for (const auto &wp :
+                     workloadParams(findProfile(label), chDram, 1.0, seed))
+                    sys.channel(c).addWorkload(wp);
+            }
+        }
+        sys.run(opts.warmup);
+        const EnergySnapshot warm = sys.captureMergedSnapshot();
+        sys.run(opts.measure);
+        d = sys.captureMergedSnapshot() - warm;
+    }
+    d.violations += sys.finalCheck();
+    printSummary(dram.name + " / " + toString(policy) + " / " + label, d,
+                 sys.maxRefreshBacklog(), ch0.cache());
+    if (multi) {
+        std::cout << "channels: " << dram.channels
+                  << ", resident counter bytes: "
+                  << sys.residentCounterBytes() << "\n";
+        if (args.has("check-conservation")) {
+            sys.verifyLedgers(true);
+            std::cout << "energy conservation verified on all "
+                      << dram.channels << " channels\n";
+        }
+    }
+    writeStatsText(files, ch0);
+    double overhead = 0.0;
+    for (std::uint32_t c = 0; c < dram.channels; ++c)
+        overhead += sys.channel(c).refreshPolicy().overheadEnergy();
+    sys.mergeObservers();
+    finishLedgerAudit(args, files, multi ? nullptr : &ch0.dram(),
+                      overhead, audit.get(), ledger.get(), configHash);
+    finishObservability(files, ch0, sampler.get(), configHash,
+                        cfg.heatmap);
+    return d.violations == 0 ? 0 : 1;
 }
 
 } // namespace

@@ -130,22 +130,36 @@ run(const CliArgs &args)
     // Every output file is opened before the first job runs, so an
     // unwritable path fails at once instead of after the whole grid.
     const std::string outDir = args.getString("out-dir");
-    std::filesystem::create_directories(outDir);
-    OutputFile json(args.has("json")
-                        ? args.getString("json")
-                        : outDir + "/" + grid.name + "_sweep.json",
-                    "sweep JSON");
-    OutputFile csv(args.has("csv") ? args.getString("csv")
-                                   : outDir + "/" + grid.name +
-                                         "_sweep.csv",
-                   "sweep CSV");
-    std::optional<OutputFile> heatmapJson, heatmapCsv, timing, metrics;
+    const std::string jsonPath =
+        args.has("json") ? args.getString("json")
+                         : outDir + "/" + grid.name + "_sweep.json";
+    const std::string csvPath = args.has("csv")
+                                    ? args.getString("csv")
+                                    : outDir + "/" + grid.name + "_sweep.csv";
+    std::vector<std::pair<std::string, std::string>> outputs = {
+        {"--json", jsonPath}, {"--csv", csvPath}};
+    for (const char *flag :
+         {"heatmap-out", "timing", "metrics-out", "telemetry-out"}) {
+        if (args.has(flag))
+            outputs.emplace_back(std::string("--") + flag,
+                                 args.getString(flag));
+    }
+    std::string siblingPath;
     if (args.has("heatmap-out")) {
         // Sibling CSV: foo.json -> foo.csv (or foo + ".csv").
         std::filesystem::path sibling(args.getString("heatmap-out"));
-        sibling.replace_extension(".csv");
+        siblingPath = sibling.replace_extension(".csv").string();
+        outputs.emplace_back("--heatmap-out's CSV sibling", siblingPath);
+    }
+    rejectSharedOutputs(outputs);
+
+    std::filesystem::create_directories(outDir);
+    OutputFile json(jsonPath, "sweep JSON");
+    OutputFile csv(csvPath, "sweep CSV");
+    std::optional<OutputFile> heatmapJson, heatmapCsv, timing, metrics;
+    if (args.has("heatmap-out")) {
         heatmapJson.emplace(args.getString("heatmap-out"), "heatmap JSON");
-        heatmapCsv.emplace(sibling.string(), "heatmap CSV");
+        heatmapCsv.emplace(siblingPath, "heatmap CSV");
     }
     if (args.has("timing"))
         timing.emplace(args.getString("timing"), "timing JSON");
