@@ -43,7 +43,7 @@ runOne(const std::string &benchName, const DramConfig &threeD,
 
     out.addRow({std::string(toString(policy)),
                 fmtMillions(static_cast<double>(d.refreshes) / seconds),
-                fmtPercent(sys.cache()->hitRate()),
+                fmtPercent(d.cacheHitRate()),
                 fmtDouble(d.refreshEnergy * 1e3),
                 fmtDouble(d.backgroundEnergy * 1e3),
                 fmtDouble((d.actEnergy + d.readEnergy + d.writeEnergy) *

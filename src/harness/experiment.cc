@@ -2,7 +2,6 @@
 
 #include <cmath>
 #include <iostream>
-#include <stdexcept>
 
 #include "dram/energy_ledger.hh"
 #include "harness/sharded.hh"
@@ -17,20 +16,8 @@ operator-(const EnergySnapshot &b, const EnergySnapshot &a)
 {
     EnergySnapshot d;
     d.tick = b.tick - a.tick;
-    d.refreshes = b.refreshes - a.refreshes;
-    d.refreshEnergy = b.refreshEnergy - a.refreshEnergy;
-    d.actEnergy = b.actEnergy - a.actEnergy;
-    d.readEnergy = b.readEnergy - a.readEnergy;
-    d.writeEnergy = b.writeEnergy - a.writeEnergy;
-    d.backgroundEnergy = b.backgroundEnergy - a.backgroundEnergy;
-    d.overheadEnergy = b.overheadEnergy - a.overheadEnergy;
-    d.demandAccesses = b.demandAccesses - a.demandAccesses;
-    d.latencySumTicks = b.latencySumTicks - a.latencySumTicks;
-    d.violations = b.violations - a.violations;
-    d.demandBlockedTicks = b.demandBlockedTicks - a.demandBlockedTicks;
-    d.refreshStallsAvoided =
-        b.refreshStallsAvoided - a.refreshStallsAvoided;
-    d.subarrayConflicts = b.subarrayConflicts - a.subarrayConflicts;
+    std::apply([&](auto... m) { ((d.*m = b.*m - a.*m), ...); },
+               kSnapshotSums);
     return d;
 }
 
@@ -52,6 +39,7 @@ captureSnapshot(System &sys)
     if (const DramCache *cache = sys.cache()) {
         s.demandAccesses = cache->demandAccesses();
         s.latencySumTicks = cache->latencySum();
+        s.cacheHits = cache->hits();
         s.violations += sys.mainDram()->retention().violations();
     } else {
         s.demandAccesses = sys.controller().demandReads() +
@@ -114,19 +102,19 @@ reduce(const std::string &benchmark, const std::string &suite,
     return r;
 }
 
+} // namespace
+
 SmartRefreshConfig
-smartConfig(const ExperimentOptions &opts)
+ExperimentOptions::smartConfig() const
 {
     SmartRefreshConfig sc;
-    sc.counterBits = opts.counterBits;
-    sc.segments = opts.segments;
-    sc.queueCapacity = opts.segments;
-    sc.autoReconfigure = opts.autoReconfigure;
-    sc.sparseCounters = opts.sparseCounters;
+    sc.counterBits = counterBits;
+    sc.segments = segments;
+    sc.queueCapacity = segments;
+    sc.autoReconfigure = autoReconfigure;
+    sc.sparseCounters = sparseCounters;
     return sc;
 }
-
-} // namespace
 
 RunResult
 runConventional(const BenchmarkProfile &profile, const DramConfig &dram,
@@ -142,7 +130,7 @@ runConventional(const BenchmarkProfile &profile, const DramConfig &dram,
     SystemConfig cfg;
     cfg.dram = dram;
     cfg.policy = policy;
-    cfg.smart = smartConfig(opts);
+    cfg.smart = opts.smartConfig();
     cfg.heatmap = opts.heatmap;
     cfg.audit = opts.audit;
     cfg.ledger = opts.ledger;
@@ -223,92 +211,41 @@ geometricMean(const std::vector<double> &values)
     return std::exp(logSum / static_cast<double>(values.size()));
 }
 
-namespace {
-
-double
-requiredNumber(const minijson::Value &v, const char *name)
-{
-    const minijson::Value &m = v.at(name);
-    if (!m.isNumber())
-        throw std::runtime_error(std::string("member '") + name +
-                                 "' is not a number");
-    return m.number;
-}
-
-const std::string &
-requiredString(const minijson::Value &v, const char *name)
-{
-    const minijson::Value &m = v.at(name);
-    if (!m.isString())
-        throw std::runtime_error(std::string("member '") + name +
-                                 "' is not a string");
-    return m.str;
-}
-
-/** A whole number in [0, 2^53], where every integer is a double. */
-std::uint64_t
-requiredCount(const minijson::Value &v, const char *name)
-{
-    const double x = requiredNumber(v, name);
-    if (!(x >= 0.0 && x <= 0x1p53 && x == std::floor(x)))
-        throw std::runtime_error(std::string("member '") + name +
-                                 "' is not a count");
-    return static_cast<std::uint64_t>(x);
-}
-
-} // namespace
-
 void
-writeRunResultJson(std::ostream &os, const RunResult &r)
+writeRunResultJson(std::ostream &os, const RunResult &r, bool sweepSubset)
 {
-    os << "{\"benchmark\":" << jsonQuoted(r.benchmark)
-       << ",\"suite\":" << jsonQuoted(r.suite)
-       << ",\"policy\":" << jsonQuoted(r.policy)
-       << ",\"simSeconds\":" << jsonNumber(r.simSeconds)
-       << ",\"refreshesPerSec\":" << jsonNumber(r.refreshesPerSec)
-       << ",\"refreshEnergyJ\":" << jsonNumber(r.refreshEnergyJ)
-       << ",\"totalEnergyJ\":" << jsonNumber(r.totalEnergyJ)
-       << ",\"overheadJ\":" << jsonNumber(r.overheadJ)
-       << ",\"avgLatencyNs\":" << jsonNumber(r.avgLatencyNs)
-       << ",\"latencySumSec\":" << jsonNumber(r.latencySumSec)
-       << ",\"latencyP50Ns\":" << jsonNumber(r.latencyP50Ns)
-       << ",\"latencyP95Ns\":" << jsonNumber(r.latencyP95Ns)
-       << ",\"latencyP99Ns\":" << jsonNumber(r.latencyP99Ns)
-       << ",\"demandBlockedByRefreshTicks\":"
-       << jsonNumber(r.demandBlockedByRefreshTicks)
-       << ",\"refreshStallsAvoided\":" << r.refreshStallsAvoided
-       << ",\"subarrayConflicts\":" << r.subarrayConflicts
-       << ",\"demandAccesses\":" << r.demandAccesses
-       << ",\"violations\":" << r.violations
-       << ",\"maxRefreshBacklog\":" << r.maxRefreshBacklog
-       << ",\"eventsExecuted\":" << r.eventsExecuted << "}";
+    char sep = '{';
+    forEachRunField(
+        [&](const char *name, bool inSweep, const auto &v) {
+            if (sweepSubset && !inSweep)
+                return;
+            os << sep << '"' << name << "\":";
+            sep = ',';
+            if constexpr (std::is_same_v<std::decay_t<decltype(v)>,
+                                         std::string>)
+                os << jsonQuoted(v);
+            else
+                os << runFieldText(v);
+        },
+        r);
+    os << '}';
 }
 
 RunResult
 runResultFromJson(const minijson::Value &v)
 {
     RunResult r;
-    r.benchmark = requiredString(v, "benchmark");
-    r.suite = requiredString(v, "suite");
-    r.policy = requiredString(v, "policy");
-    r.simSeconds = requiredNumber(v, "simSeconds");
-    r.refreshesPerSec = requiredNumber(v, "refreshesPerSec");
-    r.refreshEnergyJ = requiredNumber(v, "refreshEnergyJ");
-    r.totalEnergyJ = requiredNumber(v, "totalEnergyJ");
-    r.overheadJ = requiredNumber(v, "overheadJ");
-    r.avgLatencyNs = requiredNumber(v, "avgLatencyNs");
-    r.latencySumSec = requiredNumber(v, "latencySumSec");
-    r.latencyP50Ns = requiredNumber(v, "latencyP50Ns");
-    r.latencyP95Ns = requiredNumber(v, "latencyP95Ns");
-    r.latencyP99Ns = requiredNumber(v, "latencyP99Ns");
-    r.demandBlockedByRefreshTicks =
-        requiredNumber(v, "demandBlockedByRefreshTicks");
-    r.refreshStallsAvoided = requiredCount(v, "refreshStallsAvoided");
-    r.subarrayConflicts = requiredCount(v, "subarrayConflicts");
-    r.demandAccesses = requiredCount(v, "demandAccesses");
-    r.violations = requiredCount(v, "violations");
-    r.maxRefreshBacklog = requiredCount(v, "maxRefreshBacklog");
-    r.eventsExecuted = requiredCount(v, "eventsExecuted");
+    forEachRunField(
+        [&](const char *name, bool, auto &m) {
+            using T = std::decay_t<decltype(m)>;
+            if constexpr (std::is_same_v<T, std::string>)
+                m = v.stringAt(name);
+            else if constexpr (std::is_floating_point_v<T>)
+                m = v.numberAt(name);
+            else
+                m = v.countAt(name);
+        },
+        r);
     return r;
 }
 

@@ -13,9 +13,12 @@
 #pragma once
 
 #include <string>
+#include <tuple>
+#include <type_traits>
 #include <vector>
 
 #include "harness/system.hh"
+#include "sim/json_writer.hh"
 #include "sim/logging.hh"
 #include "trace/benchmark_profiles.hh"
 
@@ -45,6 +48,8 @@ struct EnergySnapshot
     std::uint64_t refreshStallsAvoided = 0;
     /** Demand arrivals that hit a subarray mid-refresh (SARP). */
     std::uint64_t subarrayConflicts = 0;
+    /** Demand accesses that hit the stacked DRAM cache (0 without one). */
+    std::uint64_t cacheHits = 0;
 
     double
     totalEnergy() const
@@ -52,7 +57,39 @@ struct EnergySnapshot
         return refreshEnergy + actEnergy + readEnergy + writeEnergy +
                backgroundEnergy + overheadEnergy;
     }
+
+    /** Share of the demand accesses that hit the stacked DRAM cache. */
+    double
+    cacheHitRate() const
+    {
+        return demandAccesses > 0 ? static_cast<double>(cacheHits) /
+                                        static_cast<double>(demandAccesses)
+                                  : 0.0;
+    }
+
+    bool operator==(const EnergySnapshot &) const = default;
 };
+
+/**
+ * Every EnergySnapshot member but `tick`: the quantities that difference
+ * across snapshots (operator-) and sum across channels
+ * (ShardedSystem::captureMergedSnapshot). A member is one entry here plus
+ * its fill in captureSnapshot().
+ */
+inline constexpr auto kSnapshotSums = std::make_tuple(
+    &EnergySnapshot::refreshes, &EnergySnapshot::refreshEnergy,
+    &EnergySnapshot::actEnergy, &EnergySnapshot::readEnergy,
+    &EnergySnapshot::writeEnergy, &EnergySnapshot::backgroundEnergy,
+    &EnergySnapshot::overheadEnergy, &EnergySnapshot::demandAccesses,
+    &EnergySnapshot::latencySumTicks, &EnergySnapshot::violations,
+    &EnergySnapshot::demandBlockedTicks,
+    &EnergySnapshot::refreshStallsAvoided,
+    &EnergySnapshot::subarrayConflicts, &EnergySnapshot::cacheHits);
+
+// Every member is 8 bytes, so a member missing from the list shows here.
+static_assert(sizeof(EnergySnapshot) ==
+                  8 * (1 + std::tuple_size_v<decltype(kSnapshotSums)>),
+              "kSnapshotSums must list every EnergySnapshot member but tick");
 
 /** Component-wise difference b - a. */
 EnergySnapshot operator-(const EnergySnapshot &b, const EnergySnapshot &a);
@@ -98,7 +135,64 @@ struct RunResult
      * NDJSON stream and never appears in deterministic aggregates.
      */
     std::uint64_t eventsExecuted = 0;
+
+    bool operator==(const RunResult &) const = default;
 };
+
+/**
+ * The one list of RunResult's fields, which every writer and reader of
+ * a result walks: calls fn(name, inSweep, r.member...) for each field in
+ * declaration order, with that member of every result given. `name` is
+ * the JSON member name; `inSweep` says whether the sweep JSON's
+ * baseline/smart objects carry the field (a result-cache entry carries
+ * every one). The member's type sets its number form (runFieldText). A
+ * new field is one line here plus its fill in the experiment's reduction.
+ * eventsExecuted stays last: perfbench's resultJson strips it from the
+ * end of the JSON.
+ */
+template <typename Fn, typename... R>
+void
+forEachRunField(Fn &&fn, R &...r)
+{
+    static_assert((std::is_same_v<std::remove_const_t<R>, RunResult> && ...));
+    fn("benchmark", false, r.benchmark...);
+    fn("suite", false, r.suite...);
+    fn("policy", true, r.policy...);
+    fn("simSeconds", true, r.simSeconds...);
+    fn("refreshesPerSec", true, r.refreshesPerSec...);
+    fn("refreshEnergyJ", true, r.refreshEnergyJ...);
+    fn("totalEnergyJ", true, r.totalEnergyJ...);
+    fn("overheadJ", true, r.overheadJ...);
+    fn("avgLatencyNs", true, r.avgLatencyNs...);
+    fn("latencySumSec", false, r.latencySumSec...);
+    fn("latencyP50Ns", true, r.latencyP50Ns...);
+    fn("latencyP95Ns", true, r.latencyP95Ns...);
+    fn("latencyP99Ns", true, r.latencyP99Ns...);
+    fn("demandBlockedByRefreshTicks", true,
+       r.demandBlockedByRefreshTicks...);
+    fn("refreshStallsAvoided", true, r.refreshStallsAvoided...);
+    fn("subarrayConflicts", true, r.subarrayConflicts...);
+    fn("demandAccesses", true, r.demandAccesses...);
+    fn("violations", true, r.violations...);
+    fn("maxRefreshBacklog", true, r.maxRefreshBacklog...);
+    fn("eventsExecuted", false, r.eventsExecuted...);
+}
+
+/**
+ * A RunResult field in its number form: a double as jsonNumber's
+ * shortest round trip, a count in decimal, a string as itself.
+ */
+template <typename T>
+std::string
+runFieldText(const T &v)
+{
+    if constexpr (std::is_same_v<T, std::string>)
+        return v;
+    else if constexpr (std::is_floating_point_v<T>)
+        return jsonNumber(v);
+    else
+        return std::to_string(v);
+}
 
 /** Baseline-vs-Smart pairing with the figure metrics. */
 struct ComparisonResult
@@ -149,20 +243,22 @@ struct ComparisonResult
 };
 
 /**
- * Complete JSON form of a RunResult — every field, including the ones
- * the sweep aggregates omit (latencySumSec, eventsExecuted), with
- * shortest-round-trip double formatting. This is the storage schema of
- * the content-addressed result cache: parsing it back through
- * runResultFromJson() reproduces the struct bit-for-bit, so aggregates
- * built from cached results are byte-identical to fresh ones.
+ * JSON object of a RunResult, in forEachRunField's order and number
+ * forms (strings quoted). By default every field: the storage schema of
+ * the content-addressed result cache, which runResultFromJson() reads
+ * back bit-for-bit, so aggregates built from cached results are
+ * byte-identical to fresh ones. With @p sweepSubset, only the fields the
+ * sweep JSON carries.
  */
-void writeRunResultJson(std::ostream &os, const RunResult &r);
+void writeRunResultJson(std::ostream &os, const RunResult &r,
+                        bool sweepSubset = false);
 
 /**
  * Inverse of writeRunResultJson(). Throws std::runtime_error on any
  * missing or mistyped member — a string that is not a JSON string, a
- * count that is not a whole number in [0, 2^53] — and the result cache
- * treats that as a corrupt entry (miss), never as a partial result.
+ * double that is not a number, a count that is not a whole number in
+ * [0, 2^53] — and the result cache treats that as a corrupt entry
+ * (miss), never as a partial result.
  */
 RunResult runResultFromJson(const minijson::Value &v);
 
@@ -217,6 +313,9 @@ struct ExperimentOptions
      * uniform worst-case retention model.
      */
     std::shared_ptr<const RetentionClassMap> retentionClasses;
+
+    /** The Smart Refresh configuration these options select. */
+    SmartRefreshConfig smartConfig() const;
 };
 
 /**

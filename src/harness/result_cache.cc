@@ -124,10 +124,8 @@ ResultCache::lookup(const ResultCacheKey &key, SweepJobResult &out)
             throw std::runtime_error("key mismatch");
         SweepJobResult r;
         const minijson::Value &cmp = root.at("comparison");
-        if (!cmp.at("benchmark").isString() || !cmp.at("suite").isString())
-            throw std::runtime_error("mistyped comparison");
-        r.comparison.benchmark = cmp.at("benchmark").str;
-        r.comparison.suite = cmp.at("suite").str;
+        r.comparison.benchmark = cmp.stringAt("benchmark");
+        r.comparison.suite = cmp.stringAt("suite");
         r.comparison.baseline = runResultFromJson(cmp.at("baseline"));
         r.comparison.smart = runResultFromJson(cmp.at("smart"));
         r.cached = true;

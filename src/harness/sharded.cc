@@ -195,19 +195,8 @@ ShardedSystem::captureMergedSnapshot()
         const EnergySnapshot s = captureSnapshot(*shards_[c].sys);
         SMARTREF_ASSERT(s.tick == merged.tick,
                         "channels drifted out of lock-step");
-        merged.refreshes += s.refreshes;
-        merged.refreshEnergy += s.refreshEnergy;
-        merged.actEnergy += s.actEnergy;
-        merged.readEnergy += s.readEnergy;
-        merged.writeEnergy += s.writeEnergy;
-        merged.backgroundEnergy += s.backgroundEnergy;
-        merged.overheadEnergy += s.overheadEnergy;
-        merged.demandAccesses += s.demandAccesses;
-        merged.latencySumTicks += s.latencySumTicks;
-        merged.violations += s.violations;
-        merged.demandBlockedTicks += s.demandBlockedTicks;
-        merged.refreshStallsAvoided += s.refreshStallsAvoided;
-        merged.subarrayConflicts += s.subarrayConflicts;
+        std::apply([&](auto... m) { ((merged.*m += s.*m), ...); },
+                   kSnapshotSums);
     }
     return merged;
 }

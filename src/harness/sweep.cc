@@ -257,28 +257,6 @@ totalViolations(const std::vector<SweepJobResult> &results)
 
 namespace {
 
-void
-writeRunResult(std::ostream &os, const RunResult &r)
-{
-    os << "{\"policy\":" << jsonQuoted(r.policy)
-       << ",\"simSeconds\":" << jsonNumber(r.simSeconds)
-       << ",\"refreshesPerSec\":" << jsonNumber(r.refreshesPerSec)
-       << ",\"refreshEnergyJ\":" << jsonNumber(r.refreshEnergyJ)
-       << ",\"totalEnergyJ\":" << jsonNumber(r.totalEnergyJ)
-       << ",\"overheadJ\":" << jsonNumber(r.overheadJ)
-       << ",\"avgLatencyNs\":" << jsonNumber(r.avgLatencyNs)
-       << ",\"latencyP50Ns\":" << jsonNumber(r.latencyP50Ns)
-       << ",\"latencyP95Ns\":" << jsonNumber(r.latencyP95Ns)
-       << ",\"latencyP99Ns\":" << jsonNumber(r.latencyP99Ns)
-       << ",\"demandBlockedByRefreshTicks\":"
-       << jsonNumber(r.demandBlockedByRefreshTicks)
-       << ",\"refreshStallsAvoided\":" << r.refreshStallsAvoided
-       << ",\"subarrayConflicts\":" << r.subarrayConflicts
-       << ",\"demandAccesses\":" << r.demandAccesses
-       << ",\"violations\":" << r.violations
-       << ",\"maxRefreshBacklog\":" << r.maxRefreshBacklog << "}";
-}
-
 template <typename T>
 void
 writeArray(std::ostream &os, const std::vector<T> &values, bool asString)
@@ -408,9 +386,9 @@ writeSweepJson(const SweepGrid &grid, const SweepRunOptions &opts,
            // As a string: 64-bit seeds overflow JSON's double numbers.
            << ",\"seed\":" << jsonQuoted(std::to_string(r.job.seed))
            << ",\"baseline\":";
-        writeRunResult(os, r.comparison.baseline);
+        writeRunResultJson(os, r.comparison.baseline, true);
         os << ",\"smart\":";
-        writeRunResult(os, r.comparison.smart);
+        writeRunResultJson(os, r.comparison.smart, true);
         os << ",\"refreshReduction\":"
            << jsonNumber(r.comparison.refreshReduction())
            << ",\"refreshEnergySaving\":"

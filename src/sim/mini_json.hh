@@ -14,6 +14,8 @@
 #pragma once
 
 #include <cctype>
+#include <cmath>
+#include <cstdint>
 #include <cstdlib>
 #include <fstream>
 #include <map>
@@ -60,6 +62,39 @@ class Value
         if (it == object.end())
             throw std::runtime_error("no member '" + key + "'");
         return it->second;
+    }
+
+    /** Member @p key as a string; throws unless it is a JSON string. */
+    const std::string &
+    stringAt(const std::string &key) const
+    {
+        const Value &m = at(key);
+        if (!m.isString())
+            throw std::runtime_error("member '" + key + "' is not a string");
+        return m.str;
+    }
+
+    /** Member @p key as a number; throws unless it is a JSON number. */
+    double
+    numberAt(const std::string &key) const
+    {
+        const Value &m = at(key);
+        if (!m.isNumber())
+            throw std::runtime_error("member '" + key + "' is not a number");
+        return m.number;
+    }
+
+    /**
+     * Member @p key as a count: a whole number in [0, 2^53], where every
+     * integer is a double; throws otherwise.
+     */
+    std::uint64_t
+    countAt(const std::string &key) const
+    {
+        const double x = numberAt(key);
+        if (!(x >= 0.0 && x <= 0x1p53 && x == std::floor(x)))
+            throw std::runtime_error("member '" + key + "' is not a count");
+        return static_cast<std::uint64_t>(x);
     }
 
     /** Array element access; throws when out of range. */

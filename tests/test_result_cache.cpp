@@ -28,6 +28,7 @@
 #include "harness/sweep.hh"
 #include "harness/sweep_telemetry.hh"
 #include "sim/metrics.hh"
+#include "sim/mini_json.hh"
 #include "sim/provenance.hh"
 
 using namespace smartref;
@@ -244,15 +245,70 @@ TEST(ResultCacheStore, RoundTripsAStoredResult)
     EXPECT_TRUE(hit.cached);
     EXPECT_EQ(cache.stats().hits, 1u);
     // Bit-exact round trip, including every double: the equality
-    // witness is the same serialization --cache-verify compares.
+    // witness is the same serialization --cache-verify compares. Whole
+    // results compare too, so a member missing from forEachRunField
+    // (written by neither side, read back as 0) fails here.
     EXPECT_EQ(ResultCache::comparisonJson(fresh.comparison),
               ResultCache::comparisonJson(hit.comparison));
-    EXPECT_EQ(fresh.comparison.baseline.refreshesPerSec,
-              hit.comparison.baseline.refreshesPerSec);
-    EXPECT_EQ(fresh.comparison.smart.latencySumSec,
-              hit.comparison.smart.latencySumSec);
-    EXPECT_EQ(fresh.comparison.smart.violations,
-              hit.comparison.smart.violations);
+    EXPECT_EQ(fresh.comparison.baseline, hit.comparison.baseline);
+    EXPECT_EQ(fresh.comparison.smart, hit.comparison.smart);
+}
+
+TEST(ResultCacheStore, RunResultJsonBytesArePinned)
+{
+    // Distinct values in every field: both forms' order, names and
+    // number forms are pinned byte for byte, and the full form reads
+    // back to the same result.
+    RunResult r;
+    r.benchmark = "gcc";
+    r.suite = "SPECint2000";
+    r.policy = "smart";
+    r.simSeconds = 0.128;
+    r.refreshesPerSec = 1015000.5;
+    r.refreshEnergyJ = 0.25;
+    r.totalEnergyJ = 1.75;
+    r.overheadJ = 1e-06;
+    r.avgLatencyNs = 27.125;
+    r.latencySumSec = 0.0005;
+    r.latencyP50Ns = 15.625;
+    r.latencyP95Ns = 46.875;
+    r.latencyP99Ns = 171.875;
+    r.demandBlockedByRefreshTicks = 6447214;
+    r.refreshStallsAvoided = 3;
+    r.subarrayConflicts = 4;
+    r.demandAccesses = 16656;
+    r.violations = 5;
+    r.maxRefreshBacklog = 6;
+    r.eventsExecuted = 129175;
+
+    std::ostringstream full;
+    writeRunResultJson(full, r);
+    EXPECT_EQ(full.str(),
+              "{\"benchmark\":\"gcc\",\"suite\":\"SPECint2000\","
+              "\"policy\":\"smart\",\"simSeconds\":0.128,"
+              "\"refreshesPerSec\":1015000.5,\"refreshEnergyJ\":0.25,"
+              "\"totalEnergyJ\":1.75,\"overheadJ\":1e-06,"
+              "\"avgLatencyNs\":27.125,\"latencySumSec\":5e-04,"
+              "\"latencyP50Ns\":15.625,\"latencyP95Ns\":46.875,"
+              "\"latencyP99Ns\":171.875,"
+              "\"demandBlockedByRefreshTicks\":6447214,"
+              "\"refreshStallsAvoided\":3,\"subarrayConflicts\":4,"
+              "\"demandAccesses\":16656,\"violations\":5,"
+              "\"maxRefreshBacklog\":6,\"eventsExecuted\":129175}");
+    EXPECT_EQ(runResultFromJson(minijson::parse(full.str())), r);
+
+    std::ostringstream sweep;
+    writeRunResultJson(sweep, r, true);
+    EXPECT_EQ(sweep.str(),
+              "{\"policy\":\"smart\",\"simSeconds\":0.128,"
+              "\"refreshesPerSec\":1015000.5,\"refreshEnergyJ\":0.25,"
+              "\"totalEnergyJ\":1.75,\"overheadJ\":1e-06,"
+              "\"avgLatencyNs\":27.125,\"latencyP50Ns\":15.625,"
+              "\"latencyP95Ns\":46.875,\"latencyP99Ns\":171.875,"
+              "\"demandBlockedByRefreshTicks\":6447214,"
+              "\"refreshStallsAvoided\":3,\"subarrayConflicts\":4,"
+              "\"demandAccesses\":16656,\"violations\":5,"
+              "\"maxRefreshBacklog\":6}");
 }
 
 // ---------------------------------------------------------- robustness

@@ -125,25 +125,6 @@ runOneChannel(const std::string &benchmark, bool sharded)
     return out;
 }
 
-void
-expectSameSnapshot(const EnergySnapshot &a, const EnergySnapshot &b)
-{
-    EXPECT_EQ(a.tick, b.tick);
-    EXPECT_EQ(a.refreshes, b.refreshes);
-    EXPECT_EQ(a.refreshEnergy, b.refreshEnergy);
-    EXPECT_EQ(a.actEnergy, b.actEnergy);
-    EXPECT_EQ(a.readEnergy, b.readEnergy);
-    EXPECT_EQ(a.writeEnergy, b.writeEnergy);
-    EXPECT_EQ(a.backgroundEnergy, b.backgroundEnergy);
-    EXPECT_EQ(a.overheadEnergy, b.overheadEnergy);
-    EXPECT_EQ(a.demandAccesses, b.demandAccesses);
-    EXPECT_EQ(a.latencySumTicks, b.latencySumTicks);
-    EXPECT_EQ(a.violations, b.violations);
-    EXPECT_EQ(a.demandBlockedTicks, b.demandBlockedTicks);
-    EXPECT_EQ(a.refreshStallsAvoided, b.refreshStallsAvoided);
-    EXPECT_EQ(a.subarrayConflicts, b.subarrayConflicts);
-}
-
 } // namespace
 
 TEST(ShardChannelSeed, DeterministicAndDistinct)
@@ -171,8 +152,8 @@ TEST(ShardedSystem, SingleChannelMatchesPlainSystem)
         SCOPED_TRACE(benchmark);
         const ChannelOutputs a = runOneChannel(benchmark, true);
         const ChannelOutputs b = runOneChannel(benchmark, false);
-        expectSameSnapshot(a.warm, b.warm);
-        expectSameSnapshot(a.end, b.end);
+        EXPECT_EQ(a.warm, b.warm);
+        EXPECT_EQ(a.end, b.end);
         EXPECT_FALSE(b.auditNdjson.empty());
         EXPECT_EQ(a.heatmapJson, b.heatmapJson);
         EXPECT_EQ(a.heatmapCsv, b.heatmapCsv);
@@ -258,10 +239,7 @@ TEST(ShardedSystem, MergedOutputsByteIdenticalAcrossShardJobs)
     const Outputs a = runAt(1);
     const Outputs b = runAt(4);
     EXPECT_EQ(a.events, b.events);
-    EXPECT_EQ(a.snap.tick, b.snap.tick);
-    EXPECT_EQ(a.snap.refreshes, b.snap.refreshes);
-    EXPECT_EQ(a.snap.demandAccesses, b.snap.demandAccesses);
-    EXPECT_EQ(a.snap.totalEnergy(), b.snap.totalEnergy());
+    EXPECT_EQ(a.snap, b.snap);
     EXPECT_EQ(a.heatmapJson, b.heatmapJson);
     EXPECT_EQ(a.ledgerJson, b.ledgerJson);
     EXPECT_FALSE(a.auditNdjson.empty());

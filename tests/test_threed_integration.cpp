@@ -85,6 +85,23 @@ TEST(ThreeDIntegration, AccessEntersThroughTheCache)
     EXPECT_EQ(sys.controller().demandReads(), 3u);
 }
 
+TEST(ThreeDIntegration, SnapshotCountsTheWindowsCacheHits)
+{
+    // The hit count differences across snapshots like the demand
+    // count it is a share of, so a window's hit rate leaves out warm-up.
+    System sys(tinyThreeD(PolicyKind::Cbr));
+    sys.addWorkload(cacheWorkload(sys.config().dram, 0.5, 0.05));
+    sys.run(sys.config().dram.timing.retention);
+    const EnergySnapshot warm = captureSnapshot(sys);
+    const std::uint64_t hitsAtWarm = sys.cache()->hits();
+    sys.run(2 * sys.config().dram.timing.retention);
+    const EnergySnapshot d = captureSnapshot(sys) - warm;
+    EXPECT_GT(hitsAtWarm, 0u);
+    EXPECT_EQ(d.cacheHits, sys.cache()->hits() - hitsAtWarm);
+    EXPECT_GT(d.cacheHits, 0u);
+    EXPECT_LE(d.cacheHits, d.demandAccesses);
+}
+
 TEST(ThreeDIntegration, BothRetentionDomainsAreSafe)
 {
     System sys(tinyThreeD(PolicyKind::Smart));

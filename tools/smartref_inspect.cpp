@@ -29,12 +29,14 @@
 #include <fstream>
 #include <iostream>
 #include <map>
+#include <sstream>
 #include <string>
 #include <tuple>
 #include <vector>
 
 #include "ctrl/refresh_audit.hh"
 #include "harness/cli.hh"
+#include "harness/experiment.hh"
 #include "harness/report.hh"
 #include "sim/logging.hh"
 #include "sim/mini_json.hh"
@@ -204,45 +206,55 @@ asLedger(const minijson::Value &root, const std::string &path)
 }
 
 /**
- * Summary of one content-addressed sweep result-cache entry: the key,
- * the grid point it memoizes, and the headline baseline-vs-policy
- * metrics (the full-precision payload is for smartref_statdiff).
+ * One content-addressed sweep result-cache entry: the key, the grid
+ * point it memoizes, and every RunResult field, baseline beside smart.
+ * The whole entry is read before anything is printed: what the sweep's
+ * cache counts as corrupt is fatal here, naming the file, the object
+ * and the member.
  */
 void
-inspectCacheEntry(const minijson::Value &root)
+inspectCacheEntry(const minijson::Value &root, const std::string &path)
 {
-    const minijson::Value &p = root.at("point");
-    std::cout << "result-cache entry: key " << root.at("key").str << "\n"
-              << "point: config=" << p.at("config").str
-              << " benchmark=" << p.at("benchmark").str
-              << " policy=" << p.at("policy").str << " counterBits="
-              << static_cast<long>(p.at("counterBits").number)
-              << " retentionMs="
-              << static_cast<long>(p.at("retentionMs").number)
-              << " parallelism=" << p.at("parallelism").str << "\n"
-              << "seed: " << root.at("seed").str << "\n"
-              << "canonical: " << root.at("canonical").str << "\n";
-
-    const minijson::Value &cmp = root.at("comparison");
-    ReportTable table({"run", "policy", "refreshes/s", "refreshEnergy",
-                       "totalEnergy", "avgLatencyNs"});
-    for (const char *side : {"baseline", "smart"}) {
-        const minijson::Value &r = cmp.at(side);
-        table.addRow({side, r.at("policy").str,
-                      fmtDouble(r.at("refreshesPerSec").number, 0),
-                      fmtJoules(r.at("refreshEnergyJ").number),
-                      fmtJoules(r.at("totalEnergyJ").number),
-                      fmtDouble(r.at("avgLatencyNs").number, 2)});
+    std::ostringstream head;
+    ComparisonResult c;
+    const char *part = "entry";
+    try {
+        const minijson::Value &p = root.at("point");
+        const minijson::Value &cmp = root.at("comparison");
+        head << "result-cache entry: key " << root.stringAt("key") << "\n";
+        part = "point";
+        head << "point: config=" << p.stringAt("config")
+             << " benchmark=" << p.stringAt("benchmark")
+             << " policy=" << p.stringAt("policy")
+             << " counterBits=" << p.countAt("counterBits")
+             << " retentionMs=" << p.countAt("retentionMs")
+             << " parallelism=" << p.stringAt("parallelism") << "\n";
+        part = "entry";
+        head << "seed: " << root.stringAt("seed") << "\n"
+             << "canonical: " << root.stringAt("canonical") << "\n";
+        part = "comparison";
+        c.benchmark = cmp.stringAt("benchmark");
+        c.suite = cmp.stringAt("suite");
+        part = "baseline";
+        c.baseline = runResultFromJson(cmp.at("baseline"));
+        part = "smart";
+        c.smart = runResultFromJson(cmp.at("smart"));
+    } catch (const std::runtime_error &e) {
+        SMARTREF_FATAL("'", path, "': ", part, ": ", e.what());
     }
+    std::cout << head.str();
+
+    ReportTable table({"field", "baseline", "smart"});
+    forEachRunField(
+        [&](const char *name, bool, const auto &base, const auto &smart) {
+            table.addRow({name, runFieldText(base), runFieldText(smart)});
+        },
+        c.baseline, c.smart);
     std::cout << "\n=== memoized comparison ===\n";
     table.print(std::cout);
-
-    const double baseRate =
-        cmp.at("baseline").at("refreshesPerSec").number;
-    const double smartRate = cmp.at("smart").at("refreshesPerSec").number;
-    if (baseRate > 0.0)
+    if (c.baseline.refreshesPerSec > 0.0)
         std::cout << "refresh reduction: "
-                  << fmtPercent(1.0 - smartRate / baseRate) << "\n";
+                  << fmtPercent(c.refreshReduction()) << "\n";
 }
 
 /** Outcome (and source) histogram of the matching records. */
@@ -740,7 +752,7 @@ run(const CliArgs &args)
     }
     const minijson::Value root = loadJsonFile(files[0]);
     if (isCacheEntry(root)) {
-        inspectCacheEntry(root);
+        inspectCacheEntry(root, files[0]);
         return 0;
     }
     if (isMetricsSnapshot(root)) {

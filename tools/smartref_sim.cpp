@@ -107,10 +107,10 @@ listProfiles()
     table.print(std::cout);
 }
 
-/** The run's summary table; `cache` adds the stacked cache's hit rate. */
+/** The run's summary table; `cached` adds the stacked cache's hit rate. */
 void
 printSummary(const std::string &label, const EnergySnapshot &d,
-             std::size_t backlog, const DramCache *cache)
+             std::size_t backlog, bool cached)
 {
     const double seconds =
         static_cast<double>(d.tick) / static_cast<double>(kSecond);
@@ -120,8 +120,8 @@ printSummary(const std::string &label, const EnergySnapshot &d,
                   fmtMillions(static_cast<double>(d.refreshes) / seconds) +
                       " M"});
     table.addRow({"demand accesses", std::to_string(d.demandAccesses)});
-    if (cache)
-        table.addRow({"cache hit rate", fmtPercent(cache->hitRate())});
+    if (cached)
+        table.addRow({"cache hit rate", fmtPercent(d.cacheHitRate())});
     table.addRow(
         {"avg demand latency (ns)",
          fmtDouble(d.demandAccesses
@@ -451,13 +451,6 @@ run(const CliArgs &args)
     configureTracer(args);
     const std::string tracePath = args.getString("trace");
 
-    SmartRefreshConfig smart;
-    smart.counterBits = opts.counterBits;
-    smart.segments = opts.segments;
-    smart.queueCapacity = opts.segments;
-    smart.autoReconfigure = opts.autoReconfigure;
-    smart.sparseCounters = opts.sparseCounters;
-
     // Every artifact of this run (stats JSON, heatmap) carries the same
     // configuration hash so they can be attributed to one experiment.
     std::ostringstream cfgKey;
@@ -506,7 +499,7 @@ run(const CliArgs &args)
     SystemConfig cfg;
     cfg.dram = dram;
     cfg.policy = policy;
-    cfg.smart = smart;
+    cfg.smart = opts.smartConfig();
     cfg.ctrl.scheme = schemeByName(args.getString("scheme"));
     if (args.has("classes")) {
         // RAPID-style retention classes (see DESIGN.md section 9).
@@ -580,7 +573,7 @@ run(const CliArgs &args)
     }
     d.violations += sys.finalCheck();
     printSummary(dram.name + " / " + toString(policy) + " / " + label, d,
-                 sys.maxRefreshBacklog(), ch0.cache());
+                 sys.maxRefreshBacklog(), ch0.cache() != nullptr);
     if (multi) {
         std::cout << "channels: " << dram.channels
                   << ", resident counter bytes: "
